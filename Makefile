@@ -30,6 +30,12 @@ build:
 test:
 	$(GO) test ./...
 
+# Non-test Go line and file count, the size figure ROADMAP.md tracks
+# (perfbench/ and its .bench_build/ directory are left out).
+.PHONY: loc
+loc:
+	@sh scripts/loc.sh
+
 # The race detector slows the fixpoint-heavy proof packages well past go
 # test's default 10-minute per-package budget, hence the explicit timeout.
 .PHONY: race

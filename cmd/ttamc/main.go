@@ -29,11 +29,8 @@ import (
 	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/lint"
-	"ttastartup/internal/gcl/opt"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
 	"ttastartup/internal/mc/explicit"
-	"ttastartup/internal/mc/ic3"
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/obs"
 	"ttastartup/internal/tta"
@@ -196,12 +193,13 @@ func run() (err error) {
 		return nil
 	}
 
+	eng, err := core.ParseEngine(*engine)
+	if err != nil {
+		return err
+	}
+
 	if *recovery {
-		ctlEng := core.EngineSymbolic
-		if *engine == "explicit" {
-			ctlEng = core.EngineExplicit
-		}
-		res, err := suite.CheckRecovery(ctlEng)
+		res, err := suite.CheckRecovery(eng)
 		if err != nil {
 			return err
 		}
@@ -213,11 +211,6 @@ func run() (err error) {
 	}
 
 	list, err := core.ParseLemmas(*lemmas)
-	if err != nil {
-		return err
-	}
-
-	eng, err := core.ParseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -274,9 +267,9 @@ func run() (err error) {
 // with error-level diagnostics: verifying lemmas against a model with
 // unreachable commands or out-of-domain updates proves nothing about the
 // algorithm. The lemma predicates feed the cone-of-influence check
-// (GCL011), and the caller's compiled context is shared so the lint pass
-// and the model-checking run lower the system to boolean form exactly
-// once. -lint=warn additionally prints warning-level findings; -lint=off
+// (GCL011). A non-nil comp is the caller's compilation of sys, shared so
+// the lint pass and the model-checking run lower the system to boolean
+// form once. -lint=warn additionally prints warning-level findings; -lint=off
 // bypasses the gate.
 func lintGate(sys *gcl.System, preds []gcl.Expr, comp *gcl.Compiled, mode string, nodeLimit int) error {
 	switch mode {
@@ -354,11 +347,7 @@ func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engin
 	}
 	fmt.Printf("model: %s  (faulty-node=%d degree=%d δ_init=%d)\n",
 		m.Sys.Name, cfg.FaultyNode, cfg.FaultDegree, cfg.DeltaInit)
-	var comp *gcl.Compiled
-	if lintMode != "off" {
-		comp = m.Sys.Compile()
-	}
-	if err := lintGate(m.Sys, []gcl.Expr{m.Safety().Pred, m.Liveness().Pred}, comp, lintMode, nodeLimit); err != nil {
+	if err := lintGate(m.Sys, []gcl.Expr{m.Safety().Pred, m.Liveness().Pred}, nil, lintMode, nodeLimit); err != nil {
 		return err
 	}
 	if dumpModel {
@@ -379,7 +368,6 @@ func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engin
 		Opt:      optimize,
 		Obs:      scope,
 	}
-	opts.Normalize()
 	if opts.BMCDepth == 0 {
 		opts.BMCDepth = 2 * (tta.Params{N: n}).WorstCaseStartup()
 	}
@@ -400,7 +388,7 @@ func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engin
 		if timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 		}
-		res, err := checkBusProp(ctx, m, comp, prop, eng, opts)
+		res, err := core.Check(ctx, m.Sys, prop, eng, opts)
 		if cancel != nil {
 			cancel()
 		}
@@ -424,87 +412,4 @@ func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engin
 		return fmt.Errorf("%d lemma(s) violated", failed)
 	}
 	return nil
-}
-
-// checkBusProp dispatches one bus-model property to the chosen engine,
-// optionally through the per-property optimized system (traces come back
-// inflated to full bus-model states). comp, when non-nil, is the caller's
-// compilation of m.Sys (shared with the lint gate); the optimized system
-// always gets a fresh compilation of its own.
-func checkBusProp(ctx context.Context, m *original.Model, comp *gcl.Compiled, prop mc.Property, eng core.Engine, opts core.Options) (*mc.Result, error) {
-	sys := m.Sys
-	var oo *opt.Optimized
-	if opts.Opt {
-		var oprop mc.Property
-		var err error
-		oo, oprop, err = core.OptimizeProp(m.Sys, prop)
-		if err != nil {
-			return nil, err
-		}
-		sys = oo.Sys
-		prop = oprop
-		comp = nil
-	}
-	compile := func() *gcl.Compiled {
-		if comp == nil {
-			comp = sys.Compile()
-		}
-		return comp
-	}
-
-	var res *mc.Result
-	var err error
-	switch eng {
-	case core.EngineSymbolic:
-		var s *symbolic.Engine
-		s, err = symbolic.New(compile(), opts.Symbolic)
-		if err != nil {
-			return nil, err
-		}
-		if prop.Kind == mc.Eventually {
-			res, err = s.CheckEventuallyCtx(ctx, prop)
-		} else {
-			res, err = s.CheckInvariantCtx(ctx, prop)
-		}
-	case core.EngineExplicit:
-		if prop.Kind == mc.Eventually {
-			res, err = explicit.CheckEventuallyCtx(ctx, sys, prop, opts.Explicit)
-		} else {
-			res, err = explicit.CheckInvariantCtx(ctx, sys, prop, opts.Explicit)
-		}
-	case core.EngineBMC:
-		bopts := bmc.Options{MaxDepth: opts.BMCDepth, Obs: opts.Obs}
-		if prop.Kind == mc.Eventually {
-			res, err = bmc.CheckEventuallyRefuteCtx(ctx, compile(), prop, bopts)
-		} else {
-			res, err = bmc.CheckInvariantCtx(ctx, compile(), prop, bopts)
-		}
-	case core.EngineInduction:
-		if prop.Kind == mc.Eventually {
-			// Liveness through the l2s product; SimplePath for
-			// completeness on the finite product.
-			res, err = bmc.CheckEventuallyInductionCtx(ctx, sys, prop,
-				bmc.InductionOptions{MaxK: opts.BMCDepth, SimplePath: true, Obs: opts.Obs})
-		} else {
-			res, err = bmc.CheckInvariantInductionCtx(ctx, compile(), prop,
-				bmc.InductionOptions{MaxK: opts.BMCDepth, Obs: opts.Obs})
-		}
-	case core.EngineIC3:
-		if prop.Kind == mc.Eventually {
-			res, err = ic3.CheckEventuallyCtx(ctx, sys, prop, opts.IC3)
-		} else {
-			res, err = ic3.CheckInvariantCtx(ctx, compile(), prop, opts.IC3)
-		}
-	default:
-		return nil, fmt.Errorf("unknown engine %v", eng)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if oo != nil {
-		if err := core.FinishOpt(res, oo, opts.Obs); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
 }

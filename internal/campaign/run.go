@@ -13,12 +13,7 @@ import (
 
 	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
-	"ttastartup/internal/gcl/opt"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
-	"ttastartup/internal/mc/explicit"
-	"ttastartup/internal/mc/ic3"
-	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/obs"
 	"ttastartup/internal/tta"
 	"ttastartup/internal/tta/original"
@@ -422,8 +417,10 @@ func checkHub(ctx context.Context, job Job, engine string, opts RunOptions) (*mc
 }
 
 func checkBus(ctx context.Context, job Job, engine string, opts RunOptions) (*mc.Result, *gcl.System, error) {
-	o := opts.Options
-	o.Normalize()
+	eng, err := core.ParseEngine(engine)
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := original.Build(BusConfig(job))
 	if err != nil {
 		return nil, nil, err
@@ -437,86 +434,15 @@ func checkBus(ctx context.Context, job Job, engine string, opts RunOptions) (*mc
 	default:
 		return nil, nil, fmt.Errorf("campaign: bus topology has no lemma %q", job.Lemma)
 	}
-	depth := o.BMCDepth
-	if depth == 0 {
-		depth = 2 * (tta.Params{N: job.N}).WorstCaseStartup()
+	o := opts.Options
+	if o.BMCDepth == 0 {
+		o.BMCDepth = 2 * (tta.Params{N: job.N}).WorstCaseStartup()
 	}
-
-	// With -opt the engines run on the per-property optimized system; the
-	// trace (and its digest) are computed on the inflated full-model states
-	// by FinishOpt below, so records stay comparable across opt settings.
-	sys := m.Sys
-	var oo *opt.Optimized
-	if o.Opt {
-		var oprop mc.Property
-		oo, oprop, err = core.OptimizeProp(m.Sys, prop)
-		if err != nil {
-			return nil, nil, err
-		}
-		sys = oo.Sys
-		prop = oprop
-	}
-
-	var res *mc.Result
-	switch engine {
-	case "symbolic":
-		eng, err := symbolic.New(sys.Compile(), o.Symbolic)
-		if err != nil {
-			return nil, nil, err
-		}
-		if prop.Kind == mc.Eventually {
-			res, err = eng.CheckEventuallyCtx(ctx, prop)
-		} else {
-			res, err = eng.CheckInvariantCtx(ctx, prop)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	case "explicit":
-		if prop.Kind == mc.Eventually {
-			res, err = explicit.CheckEventuallyCtx(ctx, sys, prop, o.Explicit)
-		} else {
-			res, err = explicit.CheckInvariantCtx(ctx, sys, prop, o.Explicit)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	case "bmc":
-		if prop.Kind == mc.Eventually {
-			res, err = bmc.CheckEventuallyRefuteCtx(ctx, sys.Compile(), prop, bmc.Options{MaxDepth: depth, Obs: o.Obs})
-		} else {
-			res, err = bmc.CheckInvariantCtx(ctx, sys.Compile(), prop, bmc.Options{MaxDepth: depth, Obs: o.Obs})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	case "induction":
-		if prop.Kind == mc.Eventually {
-			// Liveness via the l2s product; SimplePath makes the
-			// induction complete on the finite product.
-			res, err = bmc.CheckEventuallyInductionCtx(ctx, sys, prop, bmc.InductionOptions{MaxK: depth, SimplePath: true, Obs: o.Obs})
-		} else {
-			res, err = bmc.CheckInvariantInductionCtx(ctx, sys.Compile(), prop, bmc.InductionOptions{MaxK: depth, Obs: o.Obs})
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	case "ic3":
-		if prop.Kind == mc.Eventually {
-			res, err = ic3.CheckEventuallyCtx(ctx, sys, prop, o.IC3)
-		} else {
-			res, err = ic3.CheckInvariantCtx(ctx, sys.Compile(), prop, o.IC3)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		return nil, nil, fmt.Errorf("campaign: unknown engine %q", engine)
-	}
-	if oo != nil {
-		if err := core.FinishOpt(res, oo, o.Obs); err != nil {
-			return nil, nil, err
-		}
+	// With -opt the trace (and its digest) come back inflated to full
+	// bus-model states, so records stay comparable across opt settings.
+	res, err := core.Check(ctx, m.Sys, prop, eng, o)
+	if err != nil {
+		return nil, nil, err
 	}
 	return res, m.Sys, nil
 }

@@ -1,0 +1,180 @@
+package core
+
+import (
+	"context"
+	"fmt"
+
+	"ttastartup/internal/gcl"
+	"ttastartup/internal/gcl/l2s"
+	"ttastartup/internal/gcl/opt"
+	"ttastartup/internal/mc"
+	"ttastartup/internal/mc/bmc"
+	"ttastartup/internal/mc/explicit"
+	"ttastartup/internal/mc/ic3"
+	"ttastartup/internal/mc/symbolic"
+)
+
+// target is one system the engines run on: a source model, its optimized
+// form for one property, or an l2s product. The boolean compilation and
+// the symbolic engine are built on first use, so explicit runs and l2s
+// products never compile the system they start from, and every property
+// checked on one target shares one symbolic engine and its reachable set.
+type target struct {
+	sys *gcl.System
+	// o produced sys from the source model, and prop is the property
+	// rewritten onto sys; both are unset on a source target.
+	o    *opt.Optimized
+	prop mc.Property
+
+	comp *gcl.Compiled
+	sym  *symbolic.Engine
+	opt  map[string]*target // optimized targets, by property name
+}
+
+func (t *target) compiled() *gcl.Compiled {
+	if t.comp == nil {
+		t.comp = t.sys.Compile()
+	}
+	return t.comp
+}
+
+func (t *target) symbolic(opts symbolic.Options) (*symbolic.Engine, error) {
+	if t.sym == nil {
+		eng, err := symbolic.New(t.compiled(), opts)
+		if err != nil {
+			return nil, err
+		}
+		t.sym = eng
+	}
+	return t.sym, nil
+}
+
+// optimize returns (building and caching on first use) the target
+// optimized for prop. The cone of influence is per-property, so nothing is
+// shared between properties; in exchange each runs on the smallest sound
+// model. The cache is keyed by name, which is unique among a suite's
+// lemmas.
+func (t *target) optimize(prop mc.Property) (*target, error) {
+	if ot, ok := t.opt[prop.Name]; ok {
+		return ot, nil
+	}
+	o, oprop, err := OptimizeProp(t.sys, prop)
+	if err != nil {
+		return nil, err
+	}
+	ot := &target{sys: o.Sys, o: o, prop: oprop}
+	if t.opt == nil {
+		t.opt = map[string]*target{}
+	}
+	t.opt[prop.Name] = ot
+	return ot, nil
+}
+
+// Check verifies prop on sys with one engine. It is the one verification
+// pipeline, which every front end runs:
+//
+//  1. opt (Options.Opt): slice and narrow sys to prop's cone;
+//  2. l2s (an eventuality on k-induction or IC3): reduce AF p to the
+//     safety invariant of the liveness-to-safety product;
+//  3. the engine;
+//  4. project a product counterexample back to a lasso of the step-1
+//     system;
+//  5. FinishOpt: stamp the reductions and inflate the trace to
+//     source-model states.
+//
+// Steps 1 and 2 run in this order only. The slice preserves AF p and its
+// lassos on the variables p reads, so l2s on the sliced system is sound
+// and its monitor shadows only the surviving variables; the monitor's
+// state comparison reads every shadow, so slicing the product instead
+// would keep everything (DESIGN.md, "Canonicity under COI slicing").
+//
+// The BMC and k-induction engines reject a zero Options.BMCDepth; a Suite
+// fills it in with 2·w_sup.
+func Check(ctx context.Context, sys *gcl.System, prop mc.Property, e Engine, opts Options) (*mc.Result, error) {
+	opts.normalize()
+	return check(ctx, &target{sys: sys}, prop, e, opts)
+}
+
+// check runs Check's pipeline from the source target src, whose compiled
+// form, symbolic engine and optimized targets it reuses.
+func check(ctx context.Context, src *target, prop mc.Property, e Engine, opts Options) (*mc.Result, error) {
+	t := src
+	if opts.Opt {
+		var err error
+		if t, err = src.optimize(prop); err != nil {
+			return nil, err
+		}
+		prop = t.prop
+	}
+
+	run, query := t, prop
+	var prod *l2s.Product
+	if prop.Kind == mc.Eventually && (e == EngineInduction || e == EngineIC3) {
+		var err error
+		if prod, err = l2s.Transform(t.sys, prop.Pred); err != nil {
+			return nil, err
+		}
+		run = &target{sys: prod.Sys}
+		query = mc.Property{Name: prop.Name, Kind: mc.Invariant, Pred: prod.Safe}
+	}
+
+	// SimplePath makes k-induction complete on the finite product, so a
+	// true eventuality proves outright instead of stalling at HoldsBounded.
+	res, err := run.engine(ctx, query, e, opts, prod != nil)
+	if err != nil {
+		return nil, err
+	}
+
+	if prod != nil {
+		res.Property = prop
+		if res.Verdict == mc.Violated {
+			states, loopsTo, err := prod.ProjectLasso(res.Trace.States)
+			if err != nil {
+				return nil, err
+			}
+			res.Trace = &mc.Trace{States: states, LoopsTo: loopsTo}
+		}
+	}
+	if t.o != nil {
+		if err := FinishOpt(res, t.o, opts.Obs); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// engine is the one engine switch. An eventuality reaches it only on the
+// symbolic, explicit and BMC engines; check has already reduced it to an
+// invariant for the other two.
+func (t *target) engine(ctx context.Context, prop mc.Property, e Engine, opts Options, simplePath bool) (*mc.Result, error) {
+	live := prop.Kind == mc.Eventually
+	switch e {
+	case EngineSymbolic:
+		eng, err := t.symbolic(opts.Symbolic)
+		if err != nil {
+			return nil, err
+		}
+		if live {
+			return eng.CheckEventuallyCtx(ctx, prop)
+		}
+		return eng.CheckInvariantCtx(ctx, prop)
+	case EngineExplicit:
+		if live {
+			return explicit.CheckEventuallyCtx(ctx, t.sys, prop, opts.Explicit)
+		}
+		return explicit.CheckInvariantCtx(ctx, t.sys, prop, opts.Explicit)
+	case EngineBMC:
+		bo := bmc.Options{MaxDepth: opts.BMCDepth, Obs: opts.Obs}
+		if live {
+			return bmc.CheckEventuallyRefuteCtx(ctx, t.compiled(), prop, bo)
+		}
+		return bmc.CheckInvariantCtx(ctx, t.compiled(), prop, bo)
+	case EngineInduction:
+		return bmc.CheckInvariantInductionCtx(ctx, t.compiled(), prop,
+			bmc.InductionOptions{MaxK: opts.BMCDepth, SimplePath: simplePath, Obs: opts.Obs})
+	case EngineIC3:
+		return ic3.CheckInvariantCtx(ctx, t.compiled(), prop, opts.IC3)
+	default:
+		return nil, fmt.Errorf("core: unknown engine %v", e)
+	}
+}

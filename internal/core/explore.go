@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
-	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/tta/startup"
 )
 
@@ -142,34 +140,13 @@ func BigBangExploration(cfg startup.Config, opts Options) (*BigBangResult, error
 	if cfg.FaultyHub >= 0 {
 		lemma = LemmaSafety2
 	}
-	prop, err := s.Property(lemma)
+	symRes, err := s.Check(lemma, EngineSymbolic)
 	if err != nil {
 		return nil, err
 	}
-
-	eng, err := s.Symbolic()
-	if err != nil {
-		return nil, err
-	}
-	symRes, err := checkBySymbolic(eng, prop)
-	if err != nil {
-		return nil, err
-	}
-
-	depth := opts.BMCDepth
-	if depth == 0 {
-		depth = 2 * s.Model.P.WorstCaseStartup()
-	}
-	bmcRes, err := bmc.CheckInvariant(s.Compiled(), prop, bmc.Options{MaxDepth: depth})
+	bmcRes, err := s.Check(lemma, EngineBMC)
 	if err != nil {
 		return nil, err
 	}
 	return &BigBangResult{Symbolic: symRes, Bounded: bmcRes}, nil
-}
-
-func checkBySymbolic(eng *symbolic.Engine, prop mc.Property) (*mc.Result, error) {
-	if prop.Kind == mc.Eventually {
-		return eng.CheckEventually(prop)
-	}
-	return eng.CheckInvariant(prop)
 }

@@ -1,53 +1,19 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/opt"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
 	"ttastartup/internal/mc/explicit"
-	"ttastartup/internal/mc/ic3"
-	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/obs"
 )
 
-// optEntry caches one lemma's optimized system together with the rewritten
-// property and the lazily built engine state. The cone of influence is
-// per-property, so nothing here is shared between lemmas — in exchange each
-// lemma's engines run on the smallest sound model.
-type optEntry struct {
-	o    *opt.Optimized
-	prop mc.Property
-
-	comp *gcl.Compiled
-	sym  *symbolic.Engine
-}
-
-func (e *optEntry) compiled() *gcl.Compiled {
-	if e.comp == nil {
-		e.comp = e.o.Sys.Compile()
-	}
-	return e.comp
-}
-
-func (e *optEntry) symbolic(opts symbolic.Options) (*symbolic.Engine, error) {
-	if e.sym == nil {
-		eng, err := symbolic.New(e.compiled(), opts)
-		if err != nil {
-			return nil, err
-		}
-		e.sym = eng
-	}
-	return e.sym, nil
-}
-
 // OptimizeProp runs the optimization pipeline for a single property over
 // any finalized system and returns the handle plus the property rewritten
-// onto the optimized system's variables. This is the entry point used by
-// the suite, the campaign's bus jobs, and ttamc's bus path.
+// onto the optimized system's variables. It is the opt step of the check
+// pipeline.
 func OptimizeProp(sys *gcl.System, prop mc.Property) (*opt.Optimized, mc.Property, error) {
 	o, err := opt.Optimize(sys, opt.Options{Preds: []gcl.Expr{prop.Pred}})
 	if err != nil {
@@ -82,120 +48,20 @@ func FinishOpt(res *mc.Result, o *opt.Optimized, scope obs.Scope) error {
 	return nil
 }
 
-// optimized returns (building and caching on first use) the optimized
-// system for a lemma.
-func (s *Suite) optimized(l Lemma) (*optEntry, error) {
-	if e, ok := s.optCache[l]; ok {
-		return e, nil
-	}
-	prop, err := s.Property(l)
-	if err != nil {
-		return nil, err
-	}
-	o, oprop, err := OptimizeProp(s.Model.Sys, prop)
-	if err != nil {
-		return nil, err
-	}
-	e := &optEntry{o: o, prop: oprop}
-	if s.optCache == nil {
-		s.optCache = map[Lemma]*optEntry{}
-	}
-	s.optCache[l] = e
-	return e, nil
-}
-
-// checkOptCtx is CheckCtx's routing when Options.Opt is set: the same
-// five-engine dispatch, run against the lemma's optimized system, with the
-// result lifted back to the source model by FinishOpt.
-func (s *Suite) checkOptCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, error) {
-	ent, err := s.optimized(l)
-	if err != nil {
-		return nil, err
-	}
-	prop := ent.prop
-	var res *mc.Result
-	switch e {
-	case EngineSymbolic:
-		eng, err := ent.symbolic(s.opts.Symbolic)
-		if err != nil {
-			return nil, err
-		}
-		if prop.Kind == mc.Eventually {
-			res, err = eng.CheckEventuallyCtx(ctx, prop)
-		} else {
-			res, err = eng.CheckInvariantCtx(ctx, prop)
-		}
-		if err != nil {
-			return nil, err
-		}
-	case EngineExplicit:
-		if prop.Kind == mc.Eventually {
-			res, err = explicit.CheckEventuallyCtx(ctx, ent.o.Sys, prop, s.opts.Explicit)
-		} else {
-			res, err = explicit.CheckInvariantCtx(ctx, ent.o.Sys, prop, s.opts.Explicit)
-		}
-		if err != nil {
-			return nil, err
-		}
-	case EngineBMC:
-		depth := s.opts.BMCDepth
-		if depth == 0 {
-			depth = 2 * s.Model.P.WorstCaseStartup()
-		}
-		if prop.Kind == mc.Eventually {
-			res, err = bmc.CheckEventuallyRefuteCtx(ctx, ent.compiled(), prop, bmc.Options{MaxDepth: depth, Obs: s.opts.Obs})
-		} else {
-			res, err = bmc.CheckInvariantCtx(ctx, ent.compiled(), prop, bmc.Options{MaxDepth: depth, Obs: s.opts.Obs})
-		}
-		if err != nil {
-			return nil, err
-		}
-	case EngineInduction:
-		depth := s.opts.BMCDepth
-		if depth == 0 {
-			depth = 2 * s.Model.P.WorstCaseStartup()
-		}
-		if prop.Kind == mc.Eventually {
-			// The l2s product is built from the already-sliced system:
-			// slicing first is what keeps the monitor small (it shadows
-			// every surviving state variable), and it is sound because
-			// COI slicing preserves all behaviors observable through the
-			// predicate. SimplePath makes the induction complete.
-			res, err = bmc.CheckEventuallyInductionCtx(ctx, ent.o.Sys, prop, bmc.InductionOptions{MaxK: depth, SimplePath: true, Obs: s.opts.Obs})
-		} else {
-			res, err = bmc.CheckInvariantInductionCtx(ctx, ent.compiled(), prop, bmc.InductionOptions{MaxK: depth, Obs: s.opts.Obs})
-		}
-		if err != nil {
-			return nil, err
-		}
-	case EngineIC3:
-		if prop.Kind == mc.Eventually {
-			res, err = ic3.CheckEventuallyCtx(ctx, ent.o.Sys, prop, s.opts.IC3)
-		} else {
-			res, err = ic3.CheckInvariantCtx(ctx, ent.compiled(), prop, s.opts.IC3)
-		}
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown engine %v", e)
-	}
-	if err := FinishOpt(res, ent.o, s.opts.Obs); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // OptReport returns the optimizer's reduction report for a lemma, running
 // the pipeline if this suite has not optimized that lemma yet. It works
 // whether or not Options.Opt is set, so callers can inspect reductions
 // without routing checks through the optimized system.
 func (s *Suite) OptReport(l Lemma) (opt.Report, error) {
-	ent, err := s.optimized(l)
+	prop, err := s.Property(l)
 	if err != nil {
 		return opt.Report{}, err
 	}
-	return ent.o.Report, nil
+	t, err := s.source().optimize(prop)
+	if err != nil {
+		return opt.Report{}, err
+	}
+	return t.o.Report, nil
 }
 
 // ctlAtoms appends f's atom predicates in a fixed left-to-right order.
@@ -237,52 +103,41 @@ const recoveryName = "recovery AG(AF all-active)"
 // a bisimulation quotient with respect to the atom predicates.
 func (s *Suite) CheckRecovery(e Engine) (*mc.Result, error) {
 	f := s.Model.Recovery()
-	if !s.opts.Opt {
-		switch e {
-		case EngineSymbolic:
-			eng, err := s.Symbolic()
+	t := s.source()
+	if s.opts.Opt {
+		if s.recovery == nil {
+			o, err := opt.Optimize(s.Model.Sys, opt.Options{Preds: ctlAtoms(f, nil)})
 			if err != nil {
 				return nil, err
 			}
-			return eng.CheckCTL(recoveryName, f)
-		case EngineExplicit:
-			return explicit.CheckCTL(s.Model.Sys, recoveryName, f, s.opts.Explicit)
-		default:
-			return nil, fmt.Errorf("core: engine %v has no CTL evaluator", e)
+			s.recovery = &target{sys: o.Sys, o: o}
 		}
+		t = s.recovery
+		idx := 0
+		f = ctlRewrite(f, t.o.Preds, &idx)
 	}
-
-	if s.optRecovery == nil {
-		atoms := ctlAtoms(f, nil)
-		o, err := opt.Optimize(s.Model.Sys, opt.Options{Preds: atoms})
-		if err != nil {
-			return nil, err
-		}
-		s.optRecovery = &optEntry{o: o}
-	}
-	ent := s.optRecovery
-	idx := 0
-	of := ctlRewrite(f, ent.o.Preds, &idx)
 
 	var res *mc.Result
 	var err error
 	switch e {
 	case EngineSymbolic:
-		eng, serr := ent.symbolic(s.opts.Symbolic)
+		eng, serr := t.symbolic(s.opts.Symbolic)
 		if serr != nil {
 			return nil, serr
 		}
-		res, err = eng.CheckCTL(recoveryName, of)
+		res, err = eng.CheckCTL(recoveryName, f)
 	case EngineExplicit:
-		res, err = explicit.CheckCTL(ent.o.Sys, recoveryName, of, s.opts.Explicit)
+		res, err = explicit.CheckCTL(t.sys, recoveryName, f, s.opts.Explicit)
 	default:
 		return nil, fmt.Errorf("core: engine %v has no CTL evaluator", e)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if err := FinishOpt(res, ent.o, s.opts.Obs); err != nil {
-		return nil, err
+	if t.o != nil {
+		if err := FinishOpt(res, t.o, s.opts.Obs); err != nil {
+			return nil, err
+		}
 	}
 	return res, nil
 }

@@ -6,11 +6,6 @@ import (
 
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
-	"ttastartup/internal/mc/explicit"
-	"ttastartup/internal/mc/ic3"
-	"ttastartup/internal/mc/symbolic"
-	"ttastartup/internal/obs"
 	"ttastartup/internal/tta/original"
 	"ttastartup/internal/tta/startup"
 )
@@ -131,81 +126,58 @@ func TestOptVerdictMatrixHub(t *testing.T) {
 	}
 }
 
-// runDirect dispatches one engine on an arbitrary system the way ttamc's
-// bus path and the campaign's bus jobs do — without a Suite.
-func runDirect(t *testing.T, e Engine, sys *gcl.System, prop mc.Property, depth int) *mc.Result {
-	t.Helper()
-	ctx := context.Background()
-	var res *mc.Result
-	var err error
-	switch e {
-	case EngineSymbolic:
-		var eng *symbolic.Engine
-		eng, err = symbolic.New(sys.Compile(), symbolic.Options{})
-		if err == nil {
-			if prop.Kind == mc.Eventually {
-				res, err = eng.CheckEventuallyCtx(ctx, prop)
-			} else {
-				res, err = eng.CheckInvariantCtx(ctx, prop)
-			}
-		}
-	case EngineExplicit:
-		if prop.Kind == mc.Eventually {
-			res, err = explicit.CheckEventuallyCtx(ctx, sys, prop, explicit.Options{})
-		} else {
-			res, err = explicit.CheckInvariantCtx(ctx, sys, prop, explicit.Options{})
-		}
-	case EngineBMC:
-		if prop.Kind == mc.Eventually {
-			res, err = bmc.CheckEventuallyRefuteCtx(ctx, sys.Compile(), prop, bmc.Options{MaxDepth: depth})
-		} else {
-			res, err = bmc.CheckInvariantCtx(ctx, sys.Compile(), prop, bmc.Options{MaxDepth: depth})
-		}
-	case EngineInduction:
-		res, err = bmc.CheckInvariantInductionCtx(ctx, sys.Compile(), prop, bmc.InductionOptions{MaxK: depth})
-	case EngineIC3:
-		res, err = ic3.CheckInvariantCtx(ctx, sys.Compile(), prop, ic3.Options{})
-	}
-	if err != nil {
-		t.Fatalf("%v on %s: %v", e, prop.Name, err)
-	}
-	return res
-}
-
-// TestOptVerdictMatrixBus is the bus half of the matrix: the original TTA
-// bus-topology model through the OptimizeProp/FinishOpt path the campaign
-// uses, compared engine by engine against the unoptimized system.
+// TestOptVerdictMatrixBus is the bus half of the matrix and the
+// differential test of the pipeline's transforms: every engine on the
+// original bus-topology model's safety and liveness lemmas through Check
+// with opt off and on. On the induction and IC3 liveness cells that
+// compares l2s on the sliced system against l2s on the source; the
+// degree-3 faulty node breaks both lemmas, so projected and inflated
+// lassos get replayed too.
 func TestOptVerdictMatrixBus(t *testing.T) {
-	m, err := original.Build(original.DefaultConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prop := range []mc.Property{m.Safety(), m.Liveness()} {
-		o, oprop, err := OptimizeProp(m.Sys, prop)
+	for _, c := range []struct {
+		name string
+		cfg  original.Config
+	}{
+		{"fault-free", original.DefaultConfig(3)},
+		{"deg1", original.Config{N: 3, FaultyNode: 1, FaultDegree: 1, DeltaInit: 2}},
+		{"deg3", original.Config{N: 3, FaultyNode: 1, FaultDegree: 3, DeltaInit: 2}},
+	} {
+		name := c.name
+		m, err := original.Build(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.Report.BitsSaved() < 0 {
-			t.Fatalf("%s: negative bit savings %d", prop.Name, o.Report.BitsSaved())
-		}
-		for _, e := range AllEngines() {
-			if prop.Kind == mc.Eventually && (e == EngineInduction || e == EngineIC3) {
-				continue
-			}
-			rb := runDirect(t, e, m.Sys, prop, 10)
-			ro := runDirect(t, e, o.Sys, oprop, 10)
-			if err := FinishOpt(ro, o, obs.Scope{}); err != nil {
-				t.Fatalf("%v/%s: %v", e, prop.Name, err)
-			}
-			if exactEngine(e) {
-				if rb.Verdict != ro.Verdict {
-					t.Errorf("%v/%s: baseline %v, optimized %v", e, prop.Name, rb.Verdict, ro.Verdict)
-				}
-			} else if rb.Holds() != ro.Holds() {
-				t.Errorf("%v/%s: baseline holds=%v, optimized holds=%v", e, prop.Name, rb.Holds(), ro.Holds())
-			}
-			if ro.Trace != nil {
-				replayTrace(t, m.Sys, ro.Trace)
+		for _, prop := range []mc.Property{m.Safety(), m.Liveness()} {
+			for _, e := range AllEngines() {
+				t.Run(name+"/"+e.String()+"/"+prop.Name, func(t *testing.T) {
+					if name == "fault-free" && e == EngineIC3 && prop.Kind == mc.Eventually && testing.Short() {
+						t.Skip("IC3 needs about a minute per run on the fault-free product")
+					}
+					ctx := context.Background()
+					rb, err := Check(ctx, m.Sys, prop, e, Options{BMCDepth: 10})
+					if err != nil {
+						t.Fatalf("baseline: %v", err)
+					}
+					ro, err := Check(ctx, m.Sys, prop, e, Options{BMCDepth: 10, Opt: true})
+					if err != nil {
+						t.Fatalf("optimized: %v", err)
+					}
+					if exactEngine(e) {
+						if rb.Verdict != ro.Verdict {
+							t.Errorf("baseline %v, optimized %v", rb.Verdict, ro.Verdict)
+						}
+					} else if rb.Holds() != ro.Holds() {
+						t.Errorf("baseline holds=%v, optimized holds=%v", rb.Holds(), ro.Holds())
+					}
+					if ro.Stats.OptBitsSaved < 0 {
+						t.Errorf("negative bit savings %d", ro.Stats.OptBitsSaved)
+					}
+					for _, r := range []*mc.Result{rb, ro} {
+						if r.Trace != nil {
+							replayTrace(t, m.Sys, r.Trace)
+						}
+					}
+				})
 			}
 		}
 	}
@@ -240,11 +212,13 @@ func TestOptRecoveryCTL(t *testing.T) {
 			t.Errorf("%v: optimized recovery run reports no bits saved", e)
 		}
 	}
-	if _, err := base.CheckRecovery(EngineBMC); err == nil {
-		t.Error("BMC accepted a CTL formula")
-	}
-	if _, err := optd.CheckRecovery(EngineBMC); err == nil {
-		t.Error("BMC accepted a CTL formula under -opt")
+	for _, e := range []Engine{EngineBMC, EngineInduction, EngineIC3} {
+		if _, err := base.CheckRecovery(e); err == nil {
+			t.Errorf("%v accepted a CTL formula", e)
+		}
+		if _, err := optd.CheckRecovery(e); err == nil {
+			t.Errorf("%v accepted a CTL formula under -opt", e)
+		}
 	}
 }
 
@@ -290,12 +264,8 @@ func TestOptInflatesLassoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	prop := m.Liveness()
-	o, oprop, err := OptimizeProp(m.Sys, prop)
+	res, err := Check(context.Background(), m.Sys, prop, EngineSymbolic, Options{Opt: true})
 	if err != nil {
-		t.Fatal(err)
-	}
-	res := runDirect(t, EngineSymbolic, o.Sys, oprop, 10)
-	if err := FinishOpt(res, o, obs.Scope{}); err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != mc.Violated {

@@ -203,7 +203,8 @@ type Options struct {
 	Symbolic symbolic.Options
 	// Explicit configures the explicit-state engine.
 	Explicit explicit.Options
-	// BMCDepth bounds the bounded engine's unrolling (default 2·w_sup).
+	// BMCDepth bounds the BMC unrolling and the k-induction depth. A
+	// Suite defaults it to 2·w_sup; Check needs it set for those engines.
 	BMCDepth int
 	// TimelinessBound overrides the bound used for Lemma 3 and Lemma 4
 	// (default: the paper's w_sup formula plus the discretisation margin).
@@ -220,11 +221,9 @@ type Options struct {
 	Obs obs.Scope
 }
 
-// Normalize propagates the suite-level scope into each engine's options
-// unless that engine already has its own. NewSuite calls it; callers that
-// construct engines directly from the per-engine option structs (the
-// campaign's bus jobs) should call it first.
-func (o *Options) Normalize() {
+// normalize propagates the suite-level scope into each engine's options
+// unless that engine already has its own.
+func (o *Options) normalize() {
 	if !o.Symbolic.Obs.Enabled() {
 		o.Symbolic.Obs = o.Obs
 	}
@@ -238,17 +237,15 @@ func (o *Options) Normalize() {
 
 // Suite verifies the startup model of one configuration. Engines and the
 // compiled form are constructed lazily and cached; in particular the
-// symbolic engine's reachable set is shared by all invariant checks.
+// symbolic engine's reachable set is shared by all invariant checks, and
+// with Options.Opt each lemma keeps its own optimized system and engine.
 type Suite struct {
 	Cfg   startup.Config
 	Model *startup.Model
 	opts  Options
 
-	comp *gcl.Compiled
-	sym  *symbolic.Engine
-
-	optCache    map[Lemma]*optEntry // per-lemma optimized systems (opt.go)
-	optRecovery *optEntry           // optimized system for the CTL recovery property
+	src      *target // the source model and its per-lemma optimized targets
+	recovery *target // the system optimized for the CTL recovery property
 }
 
 // NewSuite builds the model for cfg and prepares a verification suite.
@@ -257,28 +254,25 @@ func NewSuite(cfg startup.Config, opts Options) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Normalize()
+	opts.normalize()
 	return &Suite{Cfg: cfg, Model: model, opts: opts}, nil
+}
+
+func (s *Suite) source() *target {
+	if s.src == nil {
+		s.src = &target{sys: s.Model.Sys}
+	}
+	return s.src
 }
 
 // Compiled returns the boolean compilation, building it on first use.
 func (s *Suite) Compiled() *gcl.Compiled {
-	if s.comp == nil {
-		s.comp = s.Model.Sys.Compile()
-	}
-	return s.comp
+	return s.source().compiled()
 }
 
 // Symbolic returns the shared symbolic engine, building it on first use.
 func (s *Suite) Symbolic() (*symbolic.Engine, error) {
-	if s.sym == nil {
-		eng, err := symbolic.New(s.Compiled(), s.opts.Symbolic)
-		if err != nil {
-			return nil, err
-		}
-		s.sym = eng
-	}
-	return s.sym, nil
+	return s.source().symbolic(s.opts.Symbolic)
 }
 
 // TimelinessBound returns the bound used for the timeliness lemmas: the
@@ -326,57 +320,15 @@ func (s *Suite) Check(l Lemma, e Engine) (*mc.Result, error) {
 // or cancellation propagates into the engine's hot loop (BFS frontier,
 // symbolic fixpoint, or SAT search) and surfaces as ctx.Err().
 func (s *Suite) CheckCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, error) {
-	if s.opts.Opt {
-		return s.checkOptCtx(ctx, l, e)
-	}
 	prop, err := s.Property(l)
 	if err != nil {
 		return nil, err
 	}
-	switch e {
-	case EngineSymbolic:
-		eng, err := s.Symbolic()
-		if err != nil {
-			return nil, err
-		}
-		if prop.Kind == mc.Eventually {
-			return eng.CheckEventuallyCtx(ctx, prop)
-		}
-		return eng.CheckInvariantCtx(ctx, prop)
-	case EngineExplicit:
-		if prop.Kind == mc.Eventually {
-			return explicit.CheckEventuallyCtx(ctx, s.Model.Sys, prop, s.opts.Explicit)
-		}
-		return explicit.CheckInvariantCtx(ctx, s.Model.Sys, prop, s.opts.Explicit)
-	case EngineBMC:
-		depth := s.opts.BMCDepth
-		if depth == 0 {
-			depth = 2 * s.Model.P.WorstCaseStartup()
-		}
-		if prop.Kind == mc.Eventually {
-			return bmc.CheckEventuallyRefuteCtx(ctx, s.Compiled(), prop, bmc.Options{MaxDepth: depth, Obs: s.opts.Obs})
-		}
-		return bmc.CheckInvariantCtx(ctx, s.Compiled(), prop, bmc.Options{MaxDepth: depth, Obs: s.opts.Obs})
-	case EngineInduction:
-		depth := s.opts.BMCDepth
-		if depth == 0 {
-			depth = 2 * s.Model.P.WorstCaseStartup()
-		}
-		if prop.Kind == mc.Eventually {
-			// Liveness goes through the l2s product. SimplePath makes
-			// the induction complete on the finite product, so a true
-			// lemma proves outright instead of stalling at HoldsBounded.
-			return bmc.CheckEventuallyInductionCtx(ctx, s.Model.Sys, prop, bmc.InductionOptions{MaxK: depth, SimplePath: true, Obs: s.opts.Obs})
-		}
-		return bmc.CheckInvariantInductionCtx(ctx, s.Compiled(), prop, bmc.InductionOptions{MaxK: depth, Obs: s.opts.Obs})
-	case EngineIC3:
-		if prop.Kind == mc.Eventually {
-			return ic3.CheckEventuallyCtx(ctx, s.Model.Sys, prop, s.opts.IC3)
-		}
-		return ic3.CheckInvariantCtx(ctx, s.Compiled(), prop, s.opts.IC3)
-	default:
-		return nil, fmt.Errorf("core: unknown engine %v", e)
+	opts := s.opts
+	if opts.BMCDepth == 0 {
+		opts.BMCDepth = 2 * s.Model.P.WorstCaseStartup()
 	}
+	return check(ctx, s.source(), prop, e, opts)
 }
 
 // CheckAll verifies the given lemmas with one engine, in order.

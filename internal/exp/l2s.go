@@ -9,16 +9,17 @@ package exp
 // back as a projected lasso on the source state space.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
 	"time"
 
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
+	"ttastartup/internal/gcl/l2s"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/bmc"
-	"ttastartup/internal/mc/ic3"
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/tta/original"
 	"ttastartup/internal/tta/startup"
@@ -107,34 +108,26 @@ func L2SCompare(scale Scale, n int) ([]L2SRow, string, error) {
 
 	var rows []L2SRow
 	for _, mcase := range cases {
-		comp := mcase.sys.Compile()
-
-		eng, err := symbolic.New(comp, symbolic.Options{BDD: scale.bddConfig(), Obs: Obs})
-		if err != nil {
-			return nil, "", err
+		var results []*mc.Result
+		for _, e := range []core.Engine{core.EngineSymbolic, core.EngineBMC, core.EngineInduction, core.EngineIC3} {
+			opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}, BMCDepth: 20, Obs: Obs}
+			check := core.Check
+			if e == core.EngineInduction {
+				opts.BMCDepth = mcase.maxK
+				if !mcase.indExact {
+					check = cappedInduction
+				}
+			}
+			res, err := check(context.Background(), mcase.sys, mcase.prop, e, opts)
+			if err != nil {
+				return nil, "", fmt.Errorf("l2s %s %v: %w", mcase.name, e, err)
+			}
+			results = append(results, res)
 		}
-		symRes, err := eng.CheckEventually(mcase.prop)
-		if err != nil {
-			return nil, "", fmt.Errorf("l2s %s symbolic: %w", mcase.name, err)
-		}
+		symRes := results[0]
 		truth := symRes.Verdict == mc.Holds
 
-		bmcRes, err := bmc.CheckEventuallyRefute(comp, mcase.prop, bmc.Options{MaxDepth: 20, Obs: Obs})
-		if err != nil {
-			return nil, "", fmt.Errorf("l2s %s bmc: %w", mcase.name, err)
-		}
-		indRes, err := bmc.CheckEventuallyInduction(mcase.sys, mcase.prop, bmc.InductionOptions{
-			MaxK: mcase.maxK, SimplePath: mcase.indExact, Obs: Obs,
-		})
-		if err != nil {
-			return nil, "", fmt.Errorf("l2s %s induction: %w", mcase.name, err)
-		}
-		icRes, err := ic3.CheckEventually(mcase.sys, mcase.prop, ic3.Options{Obs: Obs})
-		if err != nil {
-			return nil, "", fmt.Errorf("l2s %s ic3: %w", mcase.name, err)
-		}
-
-		for i, res := range []*mc.Result{symRes, bmcRes, indRes, icRes} {
+		for i, res := range results {
 			engine := []string{"symbolic", "bmc", "induction", "ic3"}[i]
 			exact := engine == "symbolic" || engine == "ic3" || (engine == "induction" && mcase.indExact)
 			// BMC is exact for refutations (and may upgrade to an
@@ -172,6 +165,31 @@ func L2SCompare(scale Scale, n int) ([]L2SRow, string, error) {
 		}
 	}
 	return rows, l2sTable(rows, scale), nil
+}
+
+// cappedInduction has core.Check's signature but runs plain k-induction on
+// the l2s product of sys, without the simple-path constraint the pipeline
+// adds for eventualities: the capped rows stop at their depth bound either
+// way, and the committed rows were measured without the constraint.
+func cappedInduction(ctx context.Context, sys *gcl.System, prop mc.Property, e core.Engine, opts core.Options) (*mc.Result, error) {
+	prod, err := l2s.Transform(sys, prop.Pred)
+	if err != nil {
+		return nil, err
+	}
+	safe := mc.Property{Name: prop.Name, Kind: mc.Invariant, Pred: prod.Safe}
+	res, err := core.Check(ctx, prod.Sys, safe, e, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Property = prop
+	if res.Verdict == mc.Violated {
+		states, loopsTo, err := prod.ProjectLasso(res.Trace.States)
+		if err != nil {
+			return nil, err
+		}
+		res.Trace = &mc.Trace{States: states, LoopsTo: loopsTo}
+	}
+	return res, nil
 }
 
 func l2sTable(rows []L2SRow, scale Scale) string {

@@ -8,6 +8,7 @@ package exp
 // encoding bits) are reported next to the wall-clock effect.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,28 +104,13 @@ func optBus(scale Scale, n int, on bool) (OptRow, error) {
 	if err != nil {
 		return OptRow{}, err
 	}
-	sys, prop := model.Sys, model.Safety()
-	oo, oprop, err := core.OptimizeProp(model.Sys, prop)
-	if err != nil {
-		return OptRow{}, err
-	}
-	if on {
-		sys, prop = oo.Sys, oprop
-	}
-	eng, err := symbolic.New(sys.Compile(), symbolic.Options{
-		BDD: scale.bddConfig(), NoTrace: true, Obs: Obs,
+	res, err := core.Check(context.Background(), model.Sys, model.Safety(), core.EngineSymbolic, core.Options{
+		Symbolic: symbolic.Options{BDD: scale.bddConfig(), NoTrace: true},
+		Opt:      on,
+		Obs:      Obs,
 	})
 	if err != nil {
-		return OptRow{}, err
-	}
-	res, err := eng.CheckInvariant(prop)
-	if err != nil {
 		return OptRow{}, fmt.Errorf("opt bus n=%d opt=%v: %w", n, on, err)
-	}
-	if on {
-		if err := core.FinishOpt(res, oo, Obs); err != nil {
-			return OptRow{}, err
-		}
 	}
 	return optRow("bus", n, "safety", on, res), nil
 }

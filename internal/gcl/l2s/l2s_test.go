@@ -1,14 +1,15 @@
 package l2s_test
 
 import (
+	"context"
 	"testing"
 
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/l2s"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/bmc"
 	"ttastartup/internal/mc/explicit"
-	"ttastartup/internal/mc/ic3"
 )
 
 // counter builds a saturating counter. Without the stall AF(x=5) holds;
@@ -125,7 +126,7 @@ func TestProductAgreesWithExplicit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := ic3.CheckEventually(f.sys, f.prop, ic3.Options{})
+			res, err := core.Check(context.Background(), f.sys, f.prop, core.EngineIC3, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,7 +134,7 @@ func TestProductAgreesWithExplicit(t *testing.T) {
 			if got := res.Verdict == mc.Holds; got != wantHolds {
 				t.Errorf("ic3 product verdict %v, explicit oracle %v", res.Verdict, oracle.Verdict)
 			}
-			ind, err := bmc.CheckEventuallyInduction(f.sys, f.prop, bmc.InductionOptions{MaxK: 40, SimplePath: true})
+			ind, err := core.Check(context.Background(), f.sys, f.prop, core.EngineInduction, core.Options{BMCDepth: 40})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,9 +1,11 @@
 package mc_test
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/bmc"
@@ -247,12 +249,12 @@ func TestEnginesAgree(t *testing.T) {
 					// The SAT engines decide eventualities through the
 					// liveness-to-safety product: exact verdicts, and
 					// refutations come back as concrete source lassos.
-					indRes, err := bmc.CheckEventuallyInduction(sys, pc.prop,
-						bmc.InductionOptions{MaxK: 60, SimplePath: true})
+					indRes, err := core.Check(context.Background(), sys, pc.prop, core.EngineInduction,
+						core.Options{BMCDepth: 60})
 					if err != nil {
 						t.Fatal(err)
 					}
-					icRes, err := ic3.CheckEventually(sys, pc.prop, ic3.Options{})
+					icRes, err := core.Check(context.Background(), sys, pc.prop, core.EngineIC3, core.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

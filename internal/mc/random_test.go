@@ -1,12 +1,14 @@
 package mc_test
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/bmc"
@@ -329,7 +331,7 @@ func FuzzRandomLiveness(f *testing.F) {
 		}
 
 		// IC3 through the l2s product is unbounded: exact agreement.
-		icRes, err := ic3.CheckEventually(sys, prop, ic3.Options{})
+		icRes, err := core.Check(context.Background(), sys, prop, core.EngineIC3, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: ic3: %v", seed, err)
 		}
@@ -350,7 +352,7 @@ func FuzzRandomLiveness(f *testing.F) {
 		// Simple-path induction on the product closes when k reaches the
 		// product's recurrence diameter; below that it reports bounded.
 		// Only definite verdicts are compared.
-		indRes, err := bmc.CheckEventuallyInduction(sys, prop, bmc.InductionOptions{MaxK: 25, SimplePath: true})
+		indRes, err := core.Check(context.Background(), sys, prop, core.EngineInduction, core.Options{BMCDepth: 25})
 		if err != nil {
 			t.Fatalf("seed %d: induction: %v", seed, err)
 		}

@@ -1,9 +1,11 @@
 package mc_test
 
 import (
+	"context"
 	"testing"
 
 	"ttastartup/internal/bdd"
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/bmc"
@@ -151,7 +153,7 @@ func TestReplayLivenessLassos(t *testing.T) {
 	}
 	replayOracle(t, sys, prop, bmcRes, "bmc")
 
-	indRes, err := bmc.CheckEventuallyInduction(sys, prop, bmc.InductionOptions{MaxK: 20, SimplePath: true})
+	indRes, err := core.Check(context.Background(), sys, prop, core.EngineInduction, core.Options{BMCDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +162,7 @@ func TestReplayLivenessLassos(t *testing.T) {
 		t.Fatalf("induction: projected l2s refutation has no lasso back-edge")
 	}
 
-	icRes, err := ic3.CheckEventually(sys, prop, ic3.Options{})
+	icRes, err := core.Check(context.Background(), sys, prop, core.EngineIC3, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
 package mc_test
 
 import (
+	"context"
 	"testing"
 
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/bmc"
@@ -141,7 +143,7 @@ func TestTTAEnginesAgree(t *testing.T) {
 			}
 			var indRes *mc.Result
 			if eventually {
-				indRes, err = bmc.CheckEventuallyInduction(tc.sys, tc.prop, indOpts)
+				indRes, err = core.Check(context.Background(), tc.sys, tc.prop, core.EngineInduction, core.Options{BMCDepth: indOpts.MaxK})
 			} else {
 				indRes, err = bmc.CheckInvariantInduction(comp, tc.prop, indOpts)
 			}
@@ -154,7 +156,7 @@ func TestTTAEnginesAgree(t *testing.T) {
 			}
 			var icRes *mc.Result
 			if eventually {
-				icRes, err = ic3.CheckEventually(tc.sys, tc.prop, icOpts)
+				icRes, err = core.Check(context.Background(), tc.sys, tc.prop, core.EngineIC3, core.Options{IC3: icOpts})
 			} else {
 				icRes, err = ic3.CheckInvariant(comp, tc.prop, icOpts)
 			}

@@ -56,7 +56,19 @@ func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	if addr == "" {
 		t.Fatalf("no pprof banner in log: %q", log.String())
 	}
-	if _, err := http.Get("http://" + addr + "/metricsz"); err != nil {
+	// A keep-alive connection would park the client's read and write loops
+	// past the leak check, so every request gets its own connection and
+	// every body is closed.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	get := func() error {
+		resp, err := client.Get("http://" + addr + "/metricsz")
+		if err != nil {
+			return err
+		}
+		io.Copy(io.Discard, resp.Body)
+		return resp.Body.Close()
+	}
+	if err := get(); err != nil {
 		t.Fatalf("debug endpoint not serving before cancel: %v", err)
 	}
 
@@ -65,7 +77,7 @@ func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	// goroutine must exit — without done() ever being called.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if _, err := http.Get("http://" + addr + "/metricsz"); err != nil {
+		if err := get(); err != nil {
 			break
 		}
 		if time.Now().After(deadline) {
