@@ -1,5 +1,6 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// with a chained unique table, a direct-mapped operation cache, explicit
+// over a chunked node pool, with a chained unique table kept at load factor
+// one, a direct-mapped operation cache that grows with it, explicit
 // mark-and-sweep garbage collection, quantification, relational products,
 // order-preserving renaming, and exact model counting. It is the backend of
 // the symbolic model checker (package mc/symbolic).
@@ -26,10 +27,25 @@ const (
 var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 
 type node struct {
-	level     int32 // position in the current order; terminals use level = nvars
+	level     int32 // position in the current order; terminals use level = nvars; -1 marks a free slot
 	low, high Ref
 	next      int32 // unique-table chain
 }
+
+// The node pool is a list of fixed-size chunks: growing it copies nothing,
+// leaves no garbage, and never moves a node, so *node pointers stay valid
+// across allocation (reorderMk relies on this mid-swap).
+const (
+	chunkBits = 16
+	chunkSize = 1 << chunkBits
+)
+
+// The op cache starts at minCache entries and doubles with the unique
+// table, one entry per bucket, up to Config.CacheSize.
+const (
+	minCache        = 1 << 16
+	defaultCacheMax = 1 << 21
+)
 
 type cacheEntry struct {
 	op      int32
@@ -50,11 +66,13 @@ const (
 // may move them, with var2level/level2var tracking the mapping. All public
 // APIs speak variable indices; node levels are internal.
 type Manager struct {
-	nvars   int32
-	nodes   []node
-	free    []Ref // freelist from GC
-	buckets []int32
-	cache   []cacheEntry
+	nvars    int32
+	chunks   []*[chunkSize]node // Ref r lives at chunks[r>>chunkBits][r%chunkSize]
+	used     int                // slots handed out: live, free and reorder-dead
+	free     []Ref              // freelist from GC
+	buckets  []int32
+	cache    []cacheEntry
+	cacheMax int // op-cache ceiling (Config.CacheSize)
 
 	var2level []int32   // variable index -> level
 	level2var []int32   // level -> variable index
@@ -93,8 +111,10 @@ type Manager struct {
 type Config struct {
 	// NodeLimit caps the node pool (0 = default 48M nodes, roughly 1 GiB).
 	NodeLimit int
-	// CacheSize is the operation-cache entry count, rounded up to a power
-	// of two (0 = default 1<<20).
+	// CacheSize is the ceiling of the operation cache, in entries, rounded
+	// up to a power of two (0 = default 1<<21). The cache starts at 1<<16
+	// entries (or the ceiling, if smaller) and doubles with the unique
+	// table up to this ceiling; its size never changes which nodes exist.
 	CacheSize int
 	// AutoReorder arms dynamic variable reordering: once the node pool
 	// grows past the reorder threshold, the manager flags a reorder as
@@ -118,7 +138,7 @@ func New(nvars int, cfg Config) *Manager {
 		cfg.NodeLimit = 48 << 20
 	}
 	if cfg.CacheSize == 0 {
-		cfg.CacheSize = 1 << 20
+		cfg.CacheSize = defaultCacheMax
 	}
 	if cfg.ReorderStart == 0 {
 		cfg.ReorderStart = 1 << 14
@@ -126,15 +146,15 @@ func New(nvars int, cfg Config) *Manager {
 	if cfg.ReorderMaxGrowth == 0 {
 		cfg.ReorderMaxGrowth = 1.2
 	}
-	cacheSize := 1
-	for cacheSize < cfg.CacheSize {
-		cacheSize <<= 1
+	cacheMax := 1
+	for cacheMax < cfg.CacheSize {
+		cacheMax <<= 1
 	}
 	m := &Manager{
 		nvars:            int32(nvars),
-		nodes:            make([]node, 2, 1<<16),
 		buckets:          make([]int32, 1<<14),
-		cache:            make([]cacheEntry, cacheSize),
+		cache:            make([]cacheEntry, min(minCache, cacheMax)),
+		cacheMax:         cacheMax,
 		roots:            make(map[Ref]int),
 		nodeLimit:        cfg.NodeLimit,
 		var2level:        make([]int32, nvars),
@@ -151,9 +171,25 @@ func New(nvars int, cfg Config) *Manager {
 		m.var2level[i] = int32(i)
 		m.level2var[i] = int32(i)
 	}
-	m.nodes[False] = node{level: m.nvars, low: False, high: False, next: -1}
-	m.nodes[True] = node{level: m.nvars, low: True, high: True, next: -1}
+	*m.node(m.newSlot()) = node{level: m.nvars, low: False, high: False, next: -1}
+	*m.node(m.newSlot()) = node{level: m.nvars, low: True, high: True, next: -1}
 	return m
+}
+
+// node returns the pool slot of r. The pointer stays valid for the life of
+// the manager.
+func (m *Manager) node(r Ref) *node {
+	return &m.chunks[r>>chunkBits][r&(chunkSize-1)]
+}
+
+// newSlot hands out the next never-used slot, opening a chunk when the
+// last one is full.
+func (m *Manager) newSlot() Ref {
+	if m.used == len(m.chunks)*chunkSize {
+		m.chunks = append(m.chunks, new([chunkSize]node))
+	}
+	m.used++
+	return Ref(m.used - 1)
 }
 
 // NumVars returns the variable count.
@@ -161,12 +197,12 @@ func (m *Manager) NumVars() int { return int(m.nvars) }
 
 // NumNodes returns the number of live (allocated, not freed) nodes,
 // including the two terminals.
-func (m *Manager) NumNodes() int { return len(m.nodes) - len(m.free) }
+func (m *Manager) NumNodes() int { return m.used - len(m.free) }
 
 // Level returns the level (position in the current variable order)
 // labelling f, or NumVars for terminals. Until a reorder has run, level
 // and variable index coincide; use VarLevel/VarAt to convert afterwards.
-func (m *Manager) Level(f Ref) int { return int(m.nodes[f].level) }
+func (m *Manager) Level(f Ref) int { return int(m.node(f).level) }
 
 // VarLevel returns the current level of variable i.
 func (m *Manager) VarLevel(i int) int { return int(m.var2level[i]) }
@@ -185,10 +221,10 @@ func (m *Manager) VarOrder() []int {
 }
 
 // Low and High return the cofactors of a non-terminal node.
-func (m *Manager) Low(f Ref) Ref { return m.nodes[f].low }
+func (m *Manager) Low(f Ref) Ref { return m.node(f).low }
 
 // High returns the positive cofactor of a non-terminal node.
-func (m *Manager) High(f Ref) Ref { return m.nodes[f].high }
+func (m *Manager) High(f Ref) Ref { return m.node(f).high }
 
 // Var returns the BDD for variable i.
 func (m *Manager) Var(i int) Ref {
@@ -215,59 +251,79 @@ func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 		return low
 	}
 	h := hash3(level, int32(low), int32(high)) & uint64(len(m.buckets)-1)
-	for i := m.buckets[h]; i >= 0; i = m.nodes[i].next {
-		n := &m.nodes[i]
+	for i := m.buckets[h]; i >= 0; {
+		n := m.node(Ref(i))
 		if n.level == level && n.low == low && n.high == high {
 			return Ref(i)
 		}
+		i = n.next
 	}
 	var r Ref
-	if len(m.free) > 0 {
-		r = m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
-		m.nodes[r] = node{level: level, low: low, high: high, next: m.buckets[h]}
+	if k := len(m.free); k > 0 {
+		r = m.free[k-1]
+		m.free = m.free[:k-1]
 	} else {
-		if len(m.nodes) >= m.nodeLimit {
+		if m.used >= m.nodeLimit {
 			panic(ErrNodeLimit)
 		}
-		m.nodes = append(m.nodes, node{level: level, low: low, high: high, next: m.buckets[h]})
-		r = Ref(len(m.nodes) - 1)
+		r = m.newSlot()
 	}
+	*m.node(r) = node{level: level, low: low, high: high, next: m.buckets[h]}
 	m.buckets[h] = int32(r)
-	if m.autoReorder && !m.reorderPending && m.NumNodes() >= m.reorderThreshold {
+	live := m.NumNodes()
+	if m.autoReorder && !m.reorderPending && live >= m.reorderThreshold {
 		m.reorderPending = true
 	}
-	if m.NumNodes() > 2*len(m.buckets) {
+	if live > len(m.buckets) {
 		m.rehash()
 	}
 	return r
 }
 
+// rehash doubles the unique table, keeping its load factor at most one,
+// and grows the op cache along with it up to the ceiling.
 func (m *Manager) rehash() {
 	m.buckets = make([]int32, len(m.buckets)*2)
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
-	freeSet := make(map[Ref]bool, len(m.free))
-	for _, f := range m.free {
-		freeSet[f] = true
+	for i := Ref(2); int(i) < m.used; i++ {
+		if m.node(i).level >= 0 { // skip free slots and reorder-dead nodes
+			m.hook(i)
+		}
 	}
-	for i := 2; i < len(m.nodes); i++ {
-		if freeSet[Ref(i)] {
-			continue
-		}
-		n := &m.nodes[i]
-		if n.level < 0 { // freed during a reorder, not yet collected
-			continue
-		}
-		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
-		n.next = m.buckets[h]
-		m.buckets[h] = int32(i)
+	if size := min(len(m.buckets), m.cacheMax); size > len(m.cache) {
+		m.growCache(size)
 	}
 }
 
+// hook inserts f into the unique-table bucket for its current triple.
+func (m *Manager) hook(f Ref) {
+	n := m.node(f)
+	h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
+	n.next = m.buckets[h]
+	m.buckets[h] = int32(f)
+}
+
+// growCache moves the op cache into a table of size entries, re-homing
+// every entry. Both sizes are powers of two, so an entry's new slot
+// agrees with its old one in the low bits and no two entries collide.
+func (m *Manager) growCache(size int) {
+	old := m.cache
+	m.cache = make([]cacheEntry, size)
+	for _, e := range old {
+		if e.op != 0 {
+			*m.cacheSlot(e.op, e.f, e.g, e.h) = e
+		}
+	}
+}
+
+func (m *Manager) cacheSlot(op int32, f, g, h Ref) *cacheEntry {
+	return &m.cache[hash3(op^int32(f), int32(g), int32(h))&uint64(len(m.cache)-1)]
+}
+
 func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
-	e := &m.cache[hash3(op^int32(f), int32(g), int32(h))&uint64(len(m.cache)-1)]
+	e := m.cacheSlot(op, f, g, h)
 	if e.op == op && e.f == f && e.g == g && e.h == h {
 		m.cacheHits++
 		return e.result, true
@@ -276,13 +332,23 @@ func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
 	return 0, false
 }
 
+// cacheStore re-hashes rather than reusing the lookup's slot: the cache
+// may have grown in between.
 func (m *Manager) cacheStore(op int32, f, g, h, result Ref) {
-	e := &m.cache[hash3(op^int32(f), int32(g), int32(h))&uint64(len(m.cache)-1)]
-	*e = cacheEntry{op: op, f: f, g: g, h: h, result: result}
+	*m.cacheSlot(op, f, g, h) = cacheEntry{op: op, f: f, g: g, h: h, result: result}
 }
 
 // Ite computes if-then-else: f ? g : h.
 func (m *Manager) Ite(f, g, h Ref) Ref {
+	// Standard triples (Brace, Rudell & Bryant 1990): ite(f,f,h) is
+	// ite(f,1,h) and ite(f,g,f) is ite(f,g,0). Each rewrite computes the
+	// same function through the same cofactors, so it builds the same nodes.
+	if g == f {
+		g = True
+	}
+	if h == f {
+		h = False
+	}
 	// Terminal cases.
 	switch {
 	case f == True:
@@ -294,10 +360,18 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 	case g == True && h == False:
 		return f
 	}
+	// And (ite(f,g,0)) and Or (ite(f,1,h)) commute: put the smaller Ref
+	// first so both operand orders share one cache entry.
+	switch {
+	case h == False && g < f:
+		f, g = g, f
+	case g == True && h < f:
+		f, h = h, f
+	}
 	if r, ok := m.cacheLookup(opIte, f, g, h); ok {
 		return r
 	}
-	nf, ng, nh := &m.nodes[f], &m.nodes[g], &m.nodes[h]
+	nf, ng, nh := m.node(f), m.node(g), m.node(h)
 	top := nf.level
 	if ng.level < top {
 		top = ng.level
@@ -316,7 +390,7 @@ func (m *Manager) Ite(f, g, h Ref) Ref {
 }
 
 func (m *Manager) cofactors(f Ref, level int32) (Ref, Ref) {
-	n := &m.nodes[f]
+	n := m.node(f)
 	if n.level != level {
 		return f, f
 	}

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -383,5 +384,83 @@ func TestExistsAgainstBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// cacheWorkload runs one fixed operation sequence and returns every result
+// in order: random formulas, running parities over them (which push the pool
+// past the point where the default op cache first grows), then relational
+// products, quantifications and renamings over them.
+func cacheWorkload(m *Manager) []Ref {
+	const nvars = 24
+	out := randomFuncs(m, rand.New(rand.NewSource(3)), nvars, 64)
+	acc := False
+	for i := range 14 {
+		acc = m.Xor(acc, m.Or(out[i], out[i+1]))
+		out = append(out, acc)
+	}
+	var evens, odds []int
+	shift := make([]int, nvars)
+	for i := 0; i < nvars; i += 2 {
+		evens, odds = append(evens, i), append(odds, i+1)
+		shift[i], shift[i+1] = i+1, i+1 // even variable -> its odd partner
+	}
+	cur, next := m.Cube(evens), m.Cube(odds)
+	up := m.NewPermutation(shift)
+	for i, n := 0, len(out); i+1 < n; i++ {
+		ex := m.Exists(m.Or(out[i], out[i+1]), cur)
+		out = append(out, m.AndExists(out[i], out[i+1], cur), ex,
+			m.Permute(m.Exists(out[i], next), up))
+	}
+	return out
+}
+
+// TestCacheNeverChangesNodeSet runs one operation sequence under a 16-entry
+// op cache and under the default growing one. A cache hit only skips
+// recomputing nodes that already exist, so both must return the same Refs
+// and end with the same pool — the property that keeps peak-node counts
+// independent of the cache.
+func TestCacheNeverChangesNodeSet(t *testing.T) {
+	small := New(24, Config{CacheSize: 16})
+	big := New(24, Config{})
+	a, b := cacheWorkload(small), cacheWorkload(big)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("result %d: Ref %d under a 16-entry cache, %d under the default", i, a[i], b[i])
+		}
+	}
+	if small.NumNodes() != big.NumNodes() {
+		t.Fatalf("NumNodes %d vs %d", small.NumNodes(), big.NumNodes())
+	}
+	if len(small.cache) != 16 {
+		t.Fatalf("small cache has %d entries, want 16", len(small.cache))
+	}
+	if len(big.cache) <= minCache {
+		t.Fatalf("default cache never grew: %d entries at %d nodes", len(big.cache), big.NumNodes())
+	}
+	ss, bs := small.SnapshotStats(), big.SnapshotStats()
+	if bs.CacheMisses >= ss.CacheMisses {
+		t.Fatalf("default cache missed %d times, 16-entry cache %d", bs.CacheMisses, ss.CacheMisses)
+	}
+}
+
+// TestCommutedOpsShareCacheEntry checks the operand normalization: And and
+// Or are commutative, so the swapped call is a single cache hit.
+func TestCommutedOpsShareCacheEntry(t *testing.T) {
+	m := New(8, Config{})
+	f := m.Xor(m.Var(0), m.Var(5))
+	g := m.Or(m.Var(2), m.Not(m.Var(7)))
+	for _, op := range []struct {
+		name string
+		fn   func(a, b Ref) Ref
+	}{{"And", m.And}, {"Or", m.Or}} {
+		r := op.fn(f, g)
+		hits := m.SnapshotStats().CacheHits
+		if op.fn(g, f) != r {
+			t.Fatalf("%s is not commutative", op.name)
+		}
+		if got := m.SnapshotStats().CacheHits - hits; got != 1 {
+			t.Fatalf("%s(g,f) after %s(f,g): %d cache hits, want 1", op.name, op.name, got)
+		}
 	}
 }

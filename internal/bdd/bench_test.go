@@ -1,6 +1,9 @@
 package bdd
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkBuildRandomFunctions measures And/Or/Xor construction with the
 // unique table and operation cache.
@@ -64,5 +67,22 @@ func BenchmarkPopulateAndGC(b *testing.B) {
 			b.Fatal("nothing collected")
 		}
 		_ = keep
+	}
+}
+
+// BenchmarkCacheGrowth builds a running parity of random formulas until the
+// pool passes 1<<18 live nodes, so the unique table rehashes and the op
+// cache doubles three times past its initial size, re-homing its entries.
+func BenchmarkCacheGrowth(b *testing.B) {
+	for b.Loop() {
+		m := New(24, Config{})
+		funcs := randomFuncs(m, rand.New(rand.NewSource(3)), 24, 64)
+		acc := False
+		for i := 0; m.NumNodes() <= 1<<18; i++ {
+			acc = m.Xor(acc, m.Or(funcs[i], funcs[i+1]))
+		}
+		if len(m.cache) < 1<<18 {
+			b.Fatalf("op cache at %d entries after %d nodes", len(m.cache), m.NumNodes())
+		}
 	}
 }

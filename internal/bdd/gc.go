@@ -32,7 +32,7 @@ func (m *Manager) Unprotect(f Ref) {
 func (m *Manager) GC(extra ...Ref) int {
 	gcStart := time.Now()
 	sp := m.obs.tracer.Start(obs.CatBDD, "gc")
-	marked := make([]bool, len(m.nodes))
+	marked := make([]bool, m.used)
 	marked[False] = true
 	marked[True] = true
 	var mark func(Ref)
@@ -41,7 +41,7 @@ func (m *Manager) GC(extra ...Ref) int {
 			return
 		}
 		marked[f] = true
-		n := &m.nodes[f]
+		n := m.node(f)
 		mark(n.low)
 		mark(n.high)
 	}
@@ -57,22 +57,22 @@ func (m *Manager) GC(extra ...Ref) int {
 		m.cache[i] = cacheEntry{}
 	}
 
-	// Rebuild the freelist and the unique table.
+	// Rebuild the freelist and the unique table. Swept slots get the
+	// level -1 marker, so table scans (rehash, reordering) skip them
+	// without consulting the freelist.
 	freed := 0
 	m.free = m.free[:0]
 	for i := range m.buckets {
 		m.buckets[i] = -1
 	}
-	for i := len(m.nodes) - 1; i >= 2; i-- {
+	for i := m.used - 1; i >= 2; i-- {
 		if !marked[i] {
+			m.node(Ref(i)).level = -1
 			m.free = append(m.free, Ref(i))
 			freed++
 			continue
 		}
-		n := &m.nodes[i]
-		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
-		n.next = m.buckets[h]
-		m.buckets[h] = int32(i)
+		m.hook(Ref(i))
 	}
 	m.gcCount++
 	m.gcFreed += freed

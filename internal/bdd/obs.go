@@ -19,6 +19,7 @@ type obsSinks struct {
 	nodes      *obs.Gauge
 	nodesPeak  *obs.Gauge
 	uniqueSize *obs.Gauge
+	cacheSize  *obs.Gauge
 
 	reorders     *obs.Counter
 	reorderSwaps *obs.Counter
@@ -26,6 +27,7 @@ type obsSinks struct {
 	reorderPause *obs.Histogram
 
 	lastHits, lastMisses int // high-water marks for delta flushing
+	lastCache            int // op-cache size at the previous flush
 }
 
 // SetObs attaches an instrumentation scope. The hot paths (cache probes,
@@ -42,6 +44,7 @@ func (m *Manager) SetObs(scope obs.Scope) {
 		nodes:      scope.Reg.Gauge(obs.MBDDNodes),
 		nodesPeak:  scope.Reg.Gauge(obs.MBDDNodesPeak),
 		uniqueSize: scope.Reg.Gauge(obs.MBDDUniqueSize),
+		cacheSize:  scope.Reg.Gauge(obs.MBDDCacheEntries),
 
 		reorders:     scope.Reg.Counter(obs.MBDDReorders),
 		reorderSwaps: scope.Reg.Counter(obs.MBDDReorderSwaps),
@@ -51,8 +54,10 @@ func (m *Manager) SetObs(scope obs.Scope) {
 }
 
 // PublishObs flushes the manager's counters to the attached registry:
-// cache hit/miss deltas since the previous flush, plus the live-node and
-// unique-table gauges. Safe (and a near no-op) with no scope attached.
+// cache hit/miss deltas since the previous flush, plus the live-node,
+// unique-table and op-cache size gauges. A change in the op-cache size
+// (a growth step) is also sampled onto the attached tracer. Safe (and a
+// near no-op) with no scope attached.
 // The symbolic engine calls this once per fixpoint iteration.
 func (m *Manager) PublishObs() {
 	m.obs.hits.Add(int64(m.cacheHits - m.obs.lastHits))
@@ -62,6 +67,11 @@ func (m *Manager) PublishObs() {
 	m.obs.nodes.Set(n)
 	m.obs.nodesPeak.SetMax(n)
 	m.obs.uniqueSize.Set(int64(len(m.buckets)))
+	m.obs.cacheSize.Set(int64(len(m.cache)))
+	if len(m.cache) != m.obs.lastCache { // a growth step: one trace sample
+		m.obs.lastCache = len(m.cache)
+		m.obs.tracer.CounterEvent(obs.CatBDD, obs.MBDDCacheEntries, int64(len(m.cache)))
+	}
 }
 
 // publishGC records one collection: counters, the pause histogram, and a

@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"strings"
 	"testing"
 
 	"ttastartup/internal/obs"
@@ -38,6 +39,9 @@ func TestObsPublishing(t *testing.T) {
 		t.Fatalf("registry cache counters %d/%d disagree with stats %+v",
 			snap[obs.MBDDCacheHits], snap[obs.MBDDCacheMisses], st)
 	}
+	if snap[obs.MBDDCacheEntries] != minCache {
+		t.Fatalf("cache-size gauge %d, want %d", snap[obs.MBDDCacheEntries], minCache)
+	}
 	if snap[obs.MBDDGCs] != 1 {
 		t.Fatalf("registry gc count = %d", snap[obs.MBDDGCs])
 	}
@@ -47,14 +51,22 @@ func TestObsPublishing(t *testing.T) {
 	if snap[obs.MBDDNodes] != int64(st.Nodes) || snap[obs.MBDDNodes] == 0 {
 		t.Fatalf("node gauge %d vs stats %d", snap[obs.MBDDNodes], st.Nodes)
 	}
-	if tr.EventCount() == 0 {
-		t.Fatal("GC emitted no span")
+	var trace strings.Builder
+	if err := tr.WriteChrome(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if tr.EventCount() != 2 || !strings.Contains(trace.String(), obs.MBDDCacheEntries) {
+		t.Fatalf("want the GC span and one cache-size sample, got %d events:\n%s", tr.EventCount(), trace.String())
 	}
 
-	// A second publish must flush only the delta, not re-add totals.
+	// A second publish must flush only the delta, not re-add totals, and
+	// samples the cache size only when it changed.
 	m.PublishObs()
 	if got := reg.Snapshot()[obs.MBDDCacheHits]; got != int64(st.CacheHits) {
 		t.Fatalf("double publish re-added totals: %d vs %d", got, st.CacheHits)
+	}
+	if tr.EventCount() != 2 {
+		t.Fatalf("unchanged cache size sampled again: %d events", tr.EventCount())
 	}
 }
 

@@ -27,8 +27,8 @@ func (m *Manager) Exists(f, cube Ref) Ref {
 		return f
 	}
 	// Skip cube variables above f.
-	for cube != True && m.nodes[cube].level < m.nodes[f].level {
-		cube = m.nodes[cube].high
+	for cube != True && m.node(cube).level < m.node(f).level {
+		cube = m.node(cube).high
 	}
 	if cube == True {
 		return f
@@ -36,14 +36,14 @@ func (m *Manager) Exists(f, cube Ref) Ref {
 	if r, ok := m.cacheLookup(opExists, f, cube, 0); ok {
 		return r
 	}
-	n := &m.nodes[f]
+	n := m.node(f)
 	var r Ref
-	if n.level == m.nodes[cube].level {
-		r0 := m.Exists(n.low, m.nodes[cube].high)
+	if n.level == m.node(cube).level {
+		r0 := m.Exists(n.low, m.node(cube).high)
 		if r0 == True {
 			r = True
 		} else {
-			r = m.Or(r0, m.Exists(n.high, m.nodes[cube].high))
+			r = m.Or(r0, m.Exists(n.high, m.node(cube).high))
 		}
 	} else {
 		r = m.mkNode(n.level, m.Exists(n.low, cube), m.Exists(n.high, cube))
@@ -67,13 +67,13 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	case g == True:
 		return m.Exists(f, cube)
 	}
-	nf, ng := &m.nodes[f], &m.nodes[g]
+	nf, ng := m.node(f), m.node(g)
 	top := nf.level
 	if ng.level < top {
 		top = ng.level
 	}
-	for cube != True && m.nodes[cube].level < top {
-		cube = m.nodes[cube].high
+	for cube != True && m.node(cube).level < top {
+		cube = m.node(cube).high
 	}
 	if cube == True {
 		return m.And(f, g)
@@ -84,8 +84,8 @@ func (m *Manager) AndExists(f, g, cube Ref) Ref {
 	f0, f1 := m.cofactors(f, top)
 	g0, g1 := m.cofactors(g, top)
 	var r Ref
-	if m.nodes[cube].level == top {
-		rest := m.nodes[cube].high
+	if m.node(cube).level == top {
+		rest := m.node(cube).high
 		r0 := m.AndExists(f0, g0, rest)
 		if r0 == True {
 			r = True
@@ -126,8 +126,7 @@ func (m *Manager) NewPermutation(perm []int) *Permutation {
 
 // Permute renames the variables of f according to p.
 func (m *Manager) Permute(f Ref, p *Permutation) Ref {
-	r, lvl := m.permute(f, p)
-	_ = lvl
+	r, _ := m.permute(f, p)
 	return r
 }
 
@@ -138,9 +137,9 @@ func (m *Manager) permute(f Ref, p *Permutation) (Ref, int32) {
 		return f, m.nvars
 	}
 	if r, ok := m.cacheLookup(opPermute, f, Ref(p.id), 0); ok {
-		return r, m.nodes[r].level
+		return r, m.node(r).level
 	}
-	n := &m.nodes[f]
+	n := m.node(f)
 	newLevel := m.var2level[p.mp[m.level2var[n.level]]]
 	r0, l0 := m.permute(n.low, p)
 	r1, l1 := m.permute(n.high, p)
@@ -151,7 +150,7 @@ func (m *Manager) permute(f Ref, p *Permutation) (Ref, int32) {
 	m.cacheStore(opPermute, f, Ref(p.id), 0, r)
 	lvl := newLevel
 	if r != False && r != True {
-		lvl = m.nodes[r].level
+		lvl = m.node(r).level
 	}
 	return r, lvl
 }
@@ -178,7 +177,7 @@ func (m *Manager) SatCount(f Ref, vars []int) *big.Int {
 		if f == True {
 			return pow2(len(sorted) - i)
 		}
-		j, ok := index[m.nodes[f].level]
+		j, ok := index[m.node(f).level]
 		if !ok {
 			panic("bdd: SatCount variable set does not cover support")
 		}
@@ -186,7 +185,7 @@ func (m *Manager) SatCount(f Ref, vars []int) *big.Int {
 		if c, ok := memo[f]; ok {
 			sub = c
 		} else {
-			sub = new(big.Int).Add(count(m.nodes[f].low, j+1), count(m.nodes[f].high, j+1))
+			sub = new(big.Int).Add(count(m.node(f).low, j+1), count(m.node(f).high, j+1))
 			memo[f] = sub
 		}
 		return new(big.Int).Mul(sub, pow2(j-i))
@@ -209,7 +208,7 @@ func (m *Manager) PickCube(f Ref) []int8 {
 		out[i] = -1
 	}
 	for f != True {
-		n := &m.nodes[f]
+		n := m.node(f)
 		if n.low != False {
 			out[m.level2var[n.level]] = 0
 			f = n.low
@@ -224,7 +223,7 @@ func (m *Manager) PickCube(f Ref) []int8 {
 // Eval evaluates f under a complete assignment indexed by variable.
 func (m *Manager) Eval(f Ref, assign []bool) bool {
 	for f != False && f != True {
-		n := &m.nodes[f]
+		n := m.node(f)
 		if assign[m.level2var[n.level]] {
 			f = n.high
 		} else {
@@ -244,7 +243,7 @@ func (m *Manager) Support(f Ref) []int {
 			return
 		}
 		seen[f] = true
-		n := &m.nodes[f]
+		n := m.node(f)
 		vars[n.level] = true
 		walk(n.low)
 		walk(n.high)
@@ -268,7 +267,7 @@ func (m *Manager) Size(f Ref) int {
 			return 0
 		}
 		seen[f] = true
-		n := &m.nodes[f]
+		n := m.node(f)
 		return 1 + walk(n.low) + walk(n.high)
 	}
 	return walk(f)

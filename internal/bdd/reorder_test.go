@@ -21,11 +21,14 @@ func checkInvariants(t *testing.T, m *Manager) {
 		isFree[f] = true
 	}
 	seen := make(map[[3]int32]Ref)
-	for i := 2; i < len(m.nodes); i++ {
+	for i := 2; i < m.used; i++ {
+		n := m.node(Ref(i))
 		if isFree[Ref(i)] {
+			if n.level >= 0 {
+				t.Fatalf("free slot %d lacks the level -1 marker", i)
+			}
 			continue
 		}
-		n := &m.nodes[i]
 		if n.level < 0 {
 			t.Fatalf("node %d: reorder sentinel survived outside a reorder", i)
 		}
@@ -33,9 +36,9 @@ func checkInvariants(t *testing.T, m *Manager) {
 			t.Fatalf("node %d: collapsed node in pool", i)
 		}
 		for _, c := range []Ref{n.low, n.high} {
-			if c > 1 && m.nodes[c].level <= n.level {
+			if c > 1 && m.node(c).level <= n.level {
 				t.Fatalf("node %d (level %d): child %d at level %d not strictly below",
-					i, n.level, c, m.nodes[c].level)
+					i, n.level, c, m.node(c).level)
 			}
 		}
 		key := [3]int32{n.level, int32(n.low), int32(n.high)}
@@ -46,7 +49,7 @@ func checkInvariants(t *testing.T, m *Manager) {
 		// The node must be reachable through its bucket chain.
 		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
 		found := false
-		for j := m.buckets[h]; j >= 0; j = m.nodes[j].next {
+		for j := m.buckets[h]; j >= 0; j = m.node(Ref(j)).next {
 			if j == int32(i) {
 				found = true
 				break
@@ -346,12 +349,12 @@ func TestVarOrderAccessors(t *testing.T) {
 	}
 }
 
-// TestReorderPoolRealloc pins the swap primitive against Go slice-growth
-// aliasing: reorderMk appends to m.nodes, and an append that reallocates
-// the backing array invalidates any held *node pointer mid-rewrite. The
-// test clamps the pool's capacity to its length so the very first
-// reorderMk append relocates the array, then checks every function and
-// every structural invariant survived.
+// TestReorderPoolRealloc pins the swap primitive against pool growth
+// mid-rewrite: swapAdjacent holds a *node for the node it rewrites while
+// reorderMk allocates its new cofactors. The test pads the pool up to a
+// chunk boundary, so the leading GC leaves the last chunk full and the
+// first reorderMk opens a new chunk mid-swap, then checks every function
+// and every structural invariant survived.
 func TestReorderPoolRealloc(t *testing.T) {
 	const nvars = 12
 	rng := rand.New(rand.NewSource(42))
@@ -361,15 +364,25 @@ func TestReorderPoolRealloc(t *testing.T) {
 	for i, f := range funcs {
 		want[i] = truthTable(m, f, nvars)
 	}
-	// Force the next append to move the backing array.
-	m.nodes = m.nodes[:len(m.nodes):len(m.nodes)]
+	// Take the rest of the first chunk, then free it all again: the GC puts
+	// it on the freelist, which reorderMk bypasses.
+	for m.used < chunkSize {
+		m.newSlot()
+	}
+	chunks := len(m.chunks)
 	m.Reorder()
+	if st := m.SnapshotStats(); st.ReorderSwaps == 0 {
+		t.Fatal("reorder made no swaps")
+	}
+	if len(m.chunks) <= chunks {
+		t.Fatalf("reorder opened no chunk: %d chunks, %d slots used", len(m.chunks), m.used)
+	}
 	checkInvariants(t, m)
 	for i, f := range funcs {
 		got := truthTable(m, f, nvars)
 		for w := range got {
 			if got[w] != want[i][w] {
-				t.Fatalf("function %d changed across reallocating reorder", i)
+				t.Fatalf("function %d changed across a chunk-opening reorder", i)
 			}
 		}
 	}

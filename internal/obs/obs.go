@@ -39,14 +39,15 @@ const (
 	MSATLearnts      = "sat.learnts"
 
 	// BDD backend.
-	MBDDNodes       = "bdd.nodes"        // gauge: live nodes after last GC/growth check
-	MBDDNodesPeak   = "bdd.nodes.peak"   // gauge (max): peak live nodes observed
-	MBDDCacheHits   = "bdd.cache.hits"   // counter: op-cache hits (ITE/quantify/compose/...)
-	MBDDCacheMisses = "bdd.cache.misses" // counter: op-cache misses
-	MBDDUniqueSize  = "bdd.unique.size"  // gauge: unique-table entries
-	MBDDGCs         = "bdd.gc.count"     // counter: mark-sweep collections
-	MBDDGCFreed     = "bdd.gc.freed"     // counter: nodes reclaimed across all GCs
-	MBDDGCPauseUS   = "bdd.gc.pause_us"  // histogram: stop-the-world pause per GC
+	MBDDNodes        = "bdd.nodes"         // gauge: live nodes after last GC/growth check
+	MBDDNodesPeak    = "bdd.nodes.peak"    // gauge (max): peak live nodes observed
+	MBDDCacheHits    = "bdd.cache.hits"    // counter: op-cache hits (ITE/quantify/compose/...)
+	MBDDCacheMisses  = "bdd.cache.misses"  // counter: op-cache misses
+	MBDDUniqueSize   = "bdd.unique.size"   // gauge: unique-table entries
+	MBDDCacheEntries = "bdd.cache.entries" // gauge: op-cache size; steps up as the cache grows
+	MBDDGCs          = "bdd.gc.count"      // counter: mark-sweep collections
+	MBDDGCFreed      = "bdd.gc.freed"      // counter: nodes reclaimed across all GCs
+	MBDDGCPauseUS    = "bdd.gc.pause_us"   // histogram: stop-the-world pause per GC
 
 	// BDD dynamic reordering (pair-grouped sifting).
 	MBDDReorders       = "bdd.reorder.count"    // counter: sifting passes run
