@@ -1,78 +1,46 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"os"
 	"sync"
+
+	"ttastartup/internal/jsonl"
 )
 
-// Store is the campaign's durable result log: one JSON record per line,
-// each line fsynced before the runner hands the worker its next job. The
-// job ID is the primary key. Opening an existing store in resume mode
-// loads every intact record and tolerates a torn trailing line (the
-// fingerprint of a crash mid-write), truncating it away so appends start
-// on a clean boundary.
+// Store is the campaign's durable result log: one JSON record per line
+// on a jsonl.Log, each line fsynced before the runner hands the worker
+// its next job. The job ID is the primary key. Opening an existing store
+// in resume mode loads every intact record; the log drops a torn trailing
+// line (the fingerprint of a crash mid-write) so appends start on a clean
+// boundary.
 type Store struct {
+	log  *jsonl.Log
 	mu   sync.Mutex
-	f    *os.File
-	path string
 	done map[string]Record
 }
 
 // OpenStore opens (or creates) the JSONL store at path. With resume true
 // existing records are loaded and kept; otherwise the file is truncated.
 func OpenStore(path string, resume bool) (*Store, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
+	s := &Store{done: make(map[string]Record)}
+	var err error
+	if resume {
+		s.log, err = jsonl.Open(path, func(line []byte) (bool, error) {
+			var rec Record
+			if json.Unmarshal(line, &rec) != nil || rec.Job.Topology == "" {
+				// Everything after the last good record is untrustworthy.
+				return false, nil
+			}
+			s.done[rec.Job.ID()] = rec
+			return true, nil
+		})
+	} else {
+		s.log, err = jsonl.Create(path)
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, done: make(map[string]Record)}
-	if resume {
-		if err := s.load(); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// load reads the intact prefix of the file into the done map and truncates
-// any torn trailing line left by a crash.
-func (s *Store) load() error {
-	if _, err := s.f.Seek(0, 0); err != nil {
-		return err
-	}
-	r := bufio.NewReader(s.f)
-	var valid int64
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// No trailing newline (or read error): whatever remains is a
-			// torn write — drop it.
-			break
-		}
-		var rec Record
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Job.Topology == "" {
-			// Corrupt line mid-file: everything after the last good
-			// record is untrustworthy.
-			break
-		}
-		s.done[rec.Job.ID()] = rec
-		valid += int64(len(line))
-	}
-	if err := s.f.Truncate(valid); err != nil {
-		return fmt.Errorf("campaign: truncating torn store tail: %w", err)
-	}
-	if _, err := s.f.Seek(valid, 0); err != nil {
-		return err
-	}
-	return nil
 }
 
 // Get returns the stored record for a job ID, if any.
@@ -93,25 +61,14 @@ func (s *Store) Len() int {
 // Append writes one record as a JSONL line and fsyncs it — after Append
 // returns, the record survives a crash or kill of the campaign process.
 func (s *Store) Append(rec Record) error {
+	if err := s.log.Append(rec); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	if _, err := s.f.Write(line); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
 	s.done[rec.Job.ID()] = rec
 	return nil
 }
 
-// Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
-
 // Close closes the underlying file.
-func (s *Store) Close() error { return s.f.Close() }
+func (s *Store) Close() error { return s.log.Close() }

@@ -7,6 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"ttastartup/internal/jsonl"
 )
 
 // cache is the content-addressed verdict store: one JSON file per unit
@@ -71,25 +73,7 @@ func (c *cache) put(e cacheEntry) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.path(e.Key))
+	return jsonl.WriteAtomic(c.path(e.Key), data)
 }
 
 // len counts stored entries (test and metrics helper).

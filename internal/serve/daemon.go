@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ttastartup/internal/campaign"
+	"ttastartup/internal/jsonl"
 	"ttastartup/internal/obs"
 	"ttastartup/internal/sim/mcfi"
 )
@@ -114,8 +115,8 @@ type jobRun struct {
 	savedMS   int64
 	errMsg    string
 	summary   string
-	journal   *appendFile
-	leases    *appendFile
+	journal   *jsonl.Log
+	leases    *jsonl.Log
 	// recoverSet marks units with a dangling lease from a previous daemon
 	// process: they were in flight when it died.
 	recoverSet map[string]bool
@@ -265,13 +266,41 @@ func (d *Daemon) recoverJob(id string) error {
 	if err != nil {
 		return err
 	}
-	journaled, err := loadJSONL[unitResult](filepath.Join(dir, "journal.jsonl"))
+	d.register(j)
+	d.start(j)
+	return nil
+}
+
+// newJobRun builds the in-memory state for an unfinished job: it expands
+// the units and opens the journal and lease logs, replaying the intact
+// prefix of each (both are empty for a new job).
+func (d *Daemon) newJobRun(id, dir string, req SubmitRequest) (*jobRun, error) {
+	units, err := expand(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	leased, err := loadJSONL[lease](filepath.Join(dir, "leases.jsonl"))
+	var (
+		journaled []unitResult
+		leased    []lease
+	)
+	journal, err := jsonl.Open(filepath.Join(dir, "journal.jsonl"), jsonl.Into(&journaled))
 	if err != nil {
-		return err
+		return nil, err
+	}
+	leases, err := jsonl.Open(filepath.Join(dir, "leases.jsonl"), jsonl.Into(&leased))
+	if err != nil {
+		journal.Close()
+		return nil, err
+	}
+	j := &jobRun{
+		id: id, dir: dir, req: req, units: units,
+		state:      "queued",
+		results:    make(map[string]unitResult, len(units)),
+		recoverSet: map[string]bool{},
+		journal:    journal,
+		leases:     leases,
+		events:     newEventLog(),
+		finished:   make(chan struct{}),
 	}
 	for _, r := range journaled {
 		j.results[r.Unit] = r
@@ -282,37 +311,7 @@ func (d *Daemon) recoverJob(id string) error {
 			j.recoverSet[l.Unit] = true
 		}
 	}
-	d.register(j)
-	d.start(j)
-	return nil
-}
-
-// newJobRun builds the in-memory state for an unfinished job, expanding
-// its units and opening the append files.
-func (d *Daemon) newJobRun(id, dir string, req SubmitRequest) (*jobRun, error) {
-	units, err := expand(req)
-	if err != nil {
-		return nil, err
-	}
-	journal, err := openAppend(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	leases, err := openAppend(filepath.Join(dir, "leases.jsonl"))
-	if err != nil {
-		journal.close()
-		return nil, err
-	}
-	return &jobRun{
-		id: id, dir: dir, req: req, units: units,
-		state:      "queued",
-		results:    make(map[string]unitResult, len(units)),
-		recoverSet: map[string]bool{},
-		journal:    journal,
-		leases:     leases,
-		events:     newEventLog(),
-		finished:   make(chan struct{}),
-	}, nil
+	return j, nil
 }
 
 func (d *Daemon) register(j *jobRun) {
@@ -388,7 +387,7 @@ func (d *Daemon) Submit(req SubmitRequest) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), specData); err != nil {
+	if err := jsonl.WriteAtomic(filepath.Join(dir, "spec.json"), specData); err != nil {
 		return JobStatus{}, err
 	}
 	d.cfg.Scope.Reg.Counter(obs.MServeJobsSubmitted).Add(1)
@@ -481,7 +480,7 @@ func (d *Daemon) runUnit(slot int, ex executor, dp dispatch) executor {
 		return ex
 	}
 
-	if err := j.leases.append(lease{Unit: u.ID, Worker: slot}); err != nil {
+	if err := j.leases.Append(lease{Unit: u.ID, Worker: slot}); err != nil {
 		d.failJob(j, fmt.Errorf("serve: lease append: %w", err))
 		return ex
 	}
@@ -602,7 +601,7 @@ func (d *Daemon) newExecutor() (executor, error) {
 // when it was the last unit.
 func (d *Daemon) complete(j *jobRun, ur unitResult) {
 	j.mu.Lock()
-	if err := j.journal.append(ur); err != nil {
+	if err := j.journal.Append(ur); err != nil {
 		j.mu.Unlock()
 		d.failJob(j, fmt.Errorf("serve: journal append: %w", err))
 		return
@@ -634,16 +633,16 @@ func (d *Daemon) finalize(j *jobRun) {
 		j.state = "failed"
 		j.errMsg = err.Error()
 	}
-	j.journal.close()
-	j.leases.close()
+	j.journal.Close()
+	j.leases.Close()
 	st := d.statusLocked(j)
 	j.mu.Unlock()
 
 	if err == nil {
-		if werr := writeFileAtomic(filepath.Join(j.dir, "report.json"), jsonData); werr == nil {
+		if werr := jsonl.WriteAtomic(filepath.Join(j.dir, "report.json"), jsonData); werr == nil {
 			statusData, _ := json.Marshal(st)
-			if werr = writeFileAtomic(filepath.Join(j.dir, "status.json"), statusData); werr == nil {
-				werr = writeFileAtomic(filepath.Join(j.dir, "report.txt"), []byte(text))
+			if werr = jsonl.WriteAtomic(filepath.Join(j.dir, "status.json"), statusData); werr == nil {
+				werr = jsonl.WriteAtomic(filepath.Join(j.dir, "report.txt"), []byte(text))
 			}
 		} else {
 			err = werr
@@ -864,10 +863,10 @@ func (d *Daemon) Close() error {
 	for _, j := range d.jobs {
 		j.mu.Lock()
 		if j.journal != nil {
-			j.journal.close()
+			j.journal.Close()
 		}
 		if j.leases != nil {
-			j.leases.close()
+			j.leases.Close()
 		}
 		j.mu.Unlock()
 	}

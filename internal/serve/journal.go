@@ -1,13 +1,6 @@
 package serve
 
-import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
-)
+import "encoding/json"
 
 // The per-job journal and lease files. Both are append-only JSONL:
 //
@@ -20,9 +13,10 @@ import (
 //     that was in flight when the daemon died, reported as "recovered"
 //     when the restarted daemon re-runs it.
 //
-// A crash can tear the last line of either file; loaders keep the intact
-// prefix and drop the torn tail (the unit simply re-runs — results are
-// pure functions of the spec, so re-execution is idempotent).
+// Both are jsonl.Logs: a crash can tear the last line of either file, and
+// recovery keeps the intact prefix and drops the torn tail (the unit
+// simply re-runs — results are pure functions of the spec, so
+// re-execution is idempotent).
 
 // journalVersion is the schema version stamped on new journal lines.
 // Version 2 added per-unit accounting (Worker, StartUS, Stats); version
@@ -64,94 +58,4 @@ type unitResult struct {
 type lease struct {
 	Unit   string `json:"unit"`
 	Worker int    `json:"worker"`
-}
-
-// appendFile is a crash-safe JSONL appender: one marshalled line per
-// append, fsynced before returning.
-type appendFile struct {
-	f *os.File
-}
-
-func openAppend(path string) (*appendFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return &appendFile{f: f}, nil
-}
-
-func (a *appendFile) append(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if _, err := a.f.Write(data); err != nil {
-		return err
-	}
-	return a.f.Sync()
-}
-
-func (a *appendFile) close() error { return a.f.Close() }
-
-// loadJSONL decodes the intact prefix of a JSONL file into out (a pointer
-// to a slice), truncating a torn final line in place so later appends
-// start on a clean boundary. A missing file loads as empty.
-func loadJSONL[T any](path string) ([]T, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var (
-		out  []T
-		good int64
-	)
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var v T
-		if err := json.Unmarshal(line, &v); err != nil {
-			break // torn or corrupt tail: keep the prefix
-		}
-		out = append(out, v)
-		good += int64(len(line)) + 1
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	if good < int64(len(data)) {
-		if err := os.Truncate(path, good); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// writeFileAtomic writes data to path via tmp + rename, fsyncing first,
-// so readers only ever observe absent-or-complete files. Report files and
-// spec files use it; their presence is a state transition.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -16,6 +16,7 @@ import (
 
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
+	"ttastartup/internal/jsonl"
 	"ttastartup/internal/sim/mcfi"
 )
 
@@ -293,8 +294,8 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if err := os.Truncate(jpath, int64(len(data)-3)); err != nil {
 		t.Fatal(err)
 	}
-	intact, err := loadJSONLCopy(jpath)
-	if err != nil {
+	var intact []unitResult
+	if err := jsonl.Scan(jpath, jsonl.Into(&intact)); err != nil {
 		t.Fatal(err)
 	}
 	units, err := expand(SubmitRequest{Kind: KindVerify, Verify: testVerifySpec()})
@@ -359,23 +360,6 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if _, err := d3.ReportText(id); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// loadJSONLCopy reads unit results without truncating (test helper to
-// inspect the intact prefix after a deliberate tear).
-func loadJSONLCopy(path string) ([]unitResult, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var out []unitResult
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		var r unitResult
-		if json.Unmarshal(line, &r) == nil && r.Unit != "" {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // TestProcessWorkers: the same campaign through real worker processes

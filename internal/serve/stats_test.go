@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ttastartup/internal/jsonl"
 	"ttastartup/internal/obs"
 )
 
@@ -113,8 +114,8 @@ func TestJournalV1Replay(t *testing.T) {
 	// records, stats-era fields stripped. Remove the completion artifacts
 	// so recovery takes the journal-replay path.
 	jpath := journalPath(dir, st.ID)
-	recs, err := loadJSONL[map[string]json.RawMessage](jpath)
-	if err != nil {
+	var recs []map[string]json.RawMessage
+	if err := jsonl.Scan(jpath, jsonl.Into(&recs)); err != nil {
 		t.Fatal(err)
 	}
 	var v1 bytes.Buffer

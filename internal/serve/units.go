@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"path/filepath"
+
+	"ttastartup/internal/jsonl"
 )
 
 // UnitInfo is the API view of one work unit: provenance flags plus the
@@ -46,11 +48,10 @@ func (j *jobRun) resultsInOrder() (results []unitResult, pending []string, err e
 		return results, pending, nil
 	}
 	j.mu.Unlock()
-	journaled, err := loadJSONL[unitResult](filepath.Join(j.dir, "journal.jsonl"))
-	if err != nil {
+	if err := jsonl.Scan(filepath.Join(j.dir, "journal.jsonl"), jsonl.Into(&results)); err != nil {
 		return nil, nil, err
 	}
-	return journaled, nil, nil
+	return results, nil, nil
 }
 
 // Units returns the per-unit accounting view of a job: one entry per

@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"ttastartup/internal/campaign"
+	"ttastartup/internal/jsonl"
 	"ttastartup/internal/obs"
 	"ttastartup/internal/tta/sim"
 )
@@ -424,18 +425,17 @@ func (rd *reducer) finish(batches int, completed bool) *Report {
 }
 
 // VisitedStates exposes the reduced abstract-state set of a report's
-// campaign for coverage comparison. It re-reduces the checkpoint, so it is
-// only available when one was written.
+// campaign for coverage comparison. It re-reads the checkpoint's intact
+// prefix without modifying the file, so it is only available when one was
+// written.
 func VisitedStates(checkpoint string, sp Spec) (map[uint64]struct{}, error) {
-	sp = sp.Normalize()
-	st, err := OpenStore(checkpoint, sp, true)
-	if err != nil {
+	ck := ckDecoder{path: checkpoint, digest: sp.Normalize().Digest()}
+	if err := jsonl.Scan(checkpoint, ck.line); err != nil {
 		return nil, err
 	}
-	defer st.Close()
 	visited := make(map[uint64]struct{})
-	for i := range st.Done {
-		for _, code := range st.Done[i].States {
+	for i := range ck.done {
+		for _, code := range ck.done[i].States {
 			visited[code] = struct{}{}
 		}
 	}

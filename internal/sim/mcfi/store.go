@@ -1,6 +1,6 @@
 package mcfi
 
-// Crash-safe campaign checkpointing. The checkpoint is a JSONL file: a
+// Crash-safe campaign checkpointing. The checkpoint is a jsonl.Log: a
 // header line binding the file to a spec digest, then one record per
 // completed batch, each fsynced before the worker pool hands out more
 // work. Batches are recorded in index order (the reducer consumes results
@@ -12,10 +12,10 @@ package mcfi
 // then-resumed campaign equals an uninterrupted run's.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
+
+	"ttastartup/internal/jsonl"
 )
 
 // storeHeader is the first line of a checkpoint file.
@@ -61,11 +61,10 @@ type BatchRecord struct {
 	Candidates []Candidate `json:"candidates,omitempty"`
 }
 
-// Store is the durable batch log.
+// Store is the durable batch log, a jsonl.Log whose first line is the
+// header.
 type Store struct {
-	f      *os.File
-	path   string
-	digest string
+	log *jsonl.Log
 	// Done is the intact checkpointed prefix, batches 0..len(Done)-1.
 	Done []BatchRecord
 }
@@ -75,94 +74,58 @@ type Store struct {
 // is loaded — after verifying its header digest matches, so a checkpoint
 // can never silently resume a different campaign — and any torn tail is
 // truncated away. Without resume the file is truncated and a fresh header
-// written.
+// written; so is a resumed file whose header never landed intact.
 func OpenStore(path string, sp Spec, resume bool) (*Store, error) {
-	digest := sp.Digest()
-	flags := os.O_RDWR | os.O_CREATE
-	if !resume {
-		flags |= os.O_TRUNC
+	ck := ckDecoder{path: path, digest: sp.Digest()}
+	var (
+		log *jsonl.Log
+		err error
+	)
+	if resume {
+		log, err = jsonl.Open(path, ck.line)
+	} else {
+		log, err = jsonl.Create(path)
 	}
-	f, err := os.OpenFile(path, flags, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{f: f, path: path, digest: digest}
-	if resume {
-		if err := s.load(sp); err != nil {
-			f.Close()
+	if !ck.header {
+		if err := log.Append(storeHeader{MCFI: "v1", Digest: ck.digest, Spec: sp}); err != nil {
+			log.Close()
 			return nil, err
 		}
-		return s, nil
 	}
-	if err := s.writeHeader(sp); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
+	return &Store{log: log, Done: ck.done}, nil
 }
 
-func (s *Store) writeHeader(sp Spec) error {
-	line, err := json.Marshal(storeHeader{MCFI: "v1", Digest: s.digest, Spec: sp})
-	if err != nil {
-		return err
-	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return s.f.Sync()
+// ckDecoder decodes a checkpoint's intact prefix line by line: the
+// header, then batch records in strict batch order.
+type ckDecoder struct {
+	path, digest string
+	header       bool
+	done         []BatchRecord
 }
 
-// load reads the header and the intact batch prefix, truncating any torn
-// tail. An empty file (crash before the header landed) is rewritten fresh.
-func (s *Store) load(sp Spec) error {
-	if _, err := s.f.Seek(0, 0); err != nil {
-		return err
-	}
-	r := bufio.NewReader(s.f)
-	first, err := r.ReadBytes('\n')
-	if err != nil {
-		// No complete header line: nothing recoverable, start fresh.
-		if err := s.f.Truncate(0); err != nil {
-			return err
+func (c *ckDecoder) line(line []byte) (bool, error) {
+	if !c.header {
+		var hdr storeHeader
+		if err := json.Unmarshal(line, &hdr); err != nil || hdr.MCFI != "v1" {
+			return false, fmt.Errorf("mcfi: %s is not a v1 checkpoint", c.path)
 		}
-		if _, err := s.f.Seek(0, 0); err != nil {
-			return err
+		if hdr.Digest != c.digest {
+			return false, fmt.Errorf("mcfi: checkpoint %s was written for spec %s, this campaign is %s",
+				c.path, hdr.Digest, c.digest)
 		}
-		return s.writeHeader(sp)
+		c.header = true
+		return true, nil
 	}
-	var hdr storeHeader
-	if err := json.Unmarshal(first, &hdr); err != nil || hdr.MCFI != "v1" {
-		return fmt.Errorf("mcfi: %s is not a v1 checkpoint", s.path)
+	var rec BatchRecord
+	if json.Unmarshal(line, &rec) != nil || rec.Kinds == nil || rec.Batch != len(c.done) {
+		// Corrupt or out of order: everything from here on is suspect.
+		return false, nil
 	}
-	if hdr.Digest != s.digest {
-		return fmt.Errorf("mcfi: checkpoint %s was written for spec %s, this campaign is %s",
-			s.path, hdr.Digest, s.digest)
-	}
-	valid := int64(len(first))
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// Torn trailing write: drop it.
-			break
-		}
-		var rec BatchRecord
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Kinds == nil {
-			break
-		}
-		if rec.Batch != len(s.Done) {
-			// Out-of-order record — everything from here on is suspect.
-			break
-		}
-		s.Done = append(s.Done, rec)
-		valid += int64(len(line))
-	}
-	if err := s.f.Truncate(valid); err != nil {
-		return fmt.Errorf("mcfi: truncating torn checkpoint tail: %w", err)
-	}
-	if _, err := s.f.Seek(valid, 0); err != nil {
-		return err
-	}
-	return nil
+	c.done = append(c.done, rec)
+	return true, nil
 }
 
 // Append durably records one batch. Records must arrive in batch order;
@@ -171,22 +134,12 @@ func (s *Store) Append(rec BatchRecord) error {
 	if rec.Batch != len(s.Done) {
 		return fmt.Errorf("mcfi: batch %d appended out of order (have %d)", rec.Batch, len(s.Done))
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if _, err := s.f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.Append(rec); err != nil {
 		return err
 	}
 	s.Done = append(s.Done, rec)
 	return nil
 }
 
-// Path returns the checkpoint's file path.
-func (s *Store) Path() string { return s.path }
-
 // Close closes the underlying file.
-func (s *Store) Close() error { return s.f.Close() }
+func (s *Store) Close() error { return s.log.Close() }
