@@ -1,9 +1,10 @@
 // Package bdd implements reduced ordered binary decision diagrams (ROBDDs)
-// over a chunked node pool, with a chained unique table kept at load factor
-// one, a direct-mapped operation cache that grows with it, explicit
-// mark-and-sweep garbage collection, quantification, relational products,
-// order-preserving renaming, and exact model counting. It is the backend of
-// the symbolic model checker (package mc/symbolic).
+// over a chunked node pool, with an open-addressed, tag-filtered unique
+// table kept at load at most 3/4, a direct-mapped operation cache that
+// grows with the node count, explicit mark-and-sweep garbage collection,
+// quantification, relational products, order-preserving renaming, and
+// exact model counting. It is the backend of the symbolic model checker
+// (package mc/symbolic).
 package bdd
 
 import (
@@ -29,8 +30,15 @@ var ErrNodeLimit = errors.New("bdd: node limit exceeded")
 type node struct {
 	level     int32 // position in the current order; terminals use level = nvars; -1 marks a free slot
 	low, high Ref
-	next      int32 // unique-table chain
 }
+
+// Refs are 28 bits wide. The spare high bits of a 32-bit word carry a
+// hash tag in a unique-table slot and the op code in an op-cache key.
+const (
+	refBits = 28
+	maxRefs = 1 << refBits
+	refMask = maxRefs - 1
+)
 
 // The node pool is a list of fixed-size chunks: growing it copies nothing,
 // leaves no garbage, and never moves a node, so *node pointers stay valid
@@ -40,17 +48,22 @@ const (
 	chunkSize = 1 << chunkBits
 )
 
-// The op cache starts at minCache entries and doubles with the unique
-// table, one entry per bucket, up to Config.CacheSize.
+// The unique table starts at minTable slots. The op cache starts at
+// minCache entries and doubles each time the live-node count passes
+// cacheMark, which doubles with it (about one entry per live node), up to
+// Config.CacheSize.
 const (
+	minTable        = 1 << 14
 	minCache        = 1 << 16
 	defaultCacheMax = 1 << 21
 )
 
+// cacheEntry is 16 bytes, so four fill a 64-byte line and none straddles
+// two. key is op<<refBits | f; 0 marks an empty entry (op codes start at 1).
 type cacheEntry struct {
-	op      int32
-	f, g, h Ref
-	result  Ref
+	key    uint32
+	g, h   Ref
+	result Ref
 }
 
 // Cache operation codes.
@@ -66,13 +79,15 @@ const (
 // may move them, with var2level/level2var tracking the mapping. All public
 // APIs speak variable indices; node levels are internal.
 type Manager struct {
-	nvars    int32
-	chunks   []*[chunkSize]node // Ref r lives at chunks[r>>chunkBits][r%chunkSize]
-	used     int                // slots handed out: live, free and reorder-dead
-	free     []Ref              // freelist from GC
-	buckets  []int32
-	cache    []cacheEntry
-	cacheMax int // op-cache ceiling (Config.CacheSize)
+	nvars     int32
+	chunks    []*[chunkSize]node // Ref r lives at chunks[r>>chunkBits][r%chunkSize]
+	used      int                // slots handed out: live, free and reorder-dead
+	free      []Ref              // freelist from GC
+	table     []uint32           // unique table (table.go)
+	tagMask   uint32             // slot bits that hold the hash tag
+	cache     []cacheEntry
+	cacheMax  int // op-cache ceiling (Config.CacheSize)
+	cacheMark int // live-node count past which the op cache next doubles
 
 	var2level []int32   // variable index -> level
 	level2var []int32   // level -> variable index
@@ -89,7 +104,6 @@ type Manager struct {
 	reorderMaxGrowth float64
 	reorderThreshold int
 	reorderPending   bool
-	inReorder        bool
 	rs               *reorderState
 	reorders         int
 	reorderSwaps     int
@@ -110,11 +124,13 @@ type Manager struct {
 // Config tunes a Manager.
 type Config struct {
 	// NodeLimit caps the node pool (0 = default 48M nodes, roughly 1 GiB).
+	// Values above 2^28, the width of a Ref, are clamped to 2^28.
 	NodeLimit int
 	// CacheSize is the ceiling of the operation cache, in entries, rounded
-	// up to a power of two (0 = default 1<<21). The cache starts at 1<<16
-	// entries (or the ceiling, if smaller) and doubles with the unique
-	// table up to this ceiling; its size never changes which nodes exist.
+	// up to a power of two (0 = default 1<<21 entries of 16 bytes, 32 MB).
+	// The cache starts at 1<<16 entries (or the ceiling, if smaller) and
+	// doubles as the live-node count does, up to this ceiling; its size
+	// never changes which nodes exist.
 	CacheSize int
 	// AutoReorder arms dynamic variable reordering: once the node pool
 	// grows past the reorder threshold, the manager flags a reorder as
@@ -137,6 +153,7 @@ func New(nvars int, cfg Config) *Manager {
 	if cfg.NodeLimit == 0 {
 		cfg.NodeLimit = 48 << 20
 	}
+	cfg.NodeLimit = min(cfg.NodeLimit, maxRefs)
 	if cfg.CacheSize == 0 {
 		cfg.CacheSize = defaultCacheMax
 	}
@@ -152,9 +169,11 @@ func New(nvars int, cfg Config) *Manager {
 	}
 	m := &Manager{
 		nvars:            int32(nvars),
-		buckets:          make([]int32, 1<<14),
+		table:            make([]uint32, minTable),
+		tagMask:          ^uint32(refMask),
 		cache:            make([]cacheEntry, min(minCache, cacheMax)),
 		cacheMax:         cacheMax,
+		cacheMark:        minTable,
 		roots:            make(map[Ref]int),
 		nodeLimit:        cfg.NodeLimit,
 		var2level:        make([]int32, nvars),
@@ -164,15 +183,12 @@ func New(nvars int, cfg Config) *Manager {
 		reorderMaxGrowth: cfg.ReorderMaxGrowth,
 		reorderThreshold: cfg.ReorderStart,
 	}
-	for i := range m.buckets {
-		m.buckets[i] = -1
-	}
 	for i := 0; i < nvars; i++ {
 		m.var2level[i] = int32(i)
 		m.level2var[i] = int32(i)
 	}
-	*m.node(m.newSlot()) = node{level: m.nvars, low: False, high: False, next: -1}
-	*m.node(m.newSlot()) = node{level: m.nvars, low: True, high: True, next: -1}
+	*m.node(m.newSlot()) = node{level: m.nvars, low: False, high: False}
+	*m.node(m.newSlot()) = node{level: m.nvars, low: True, high: True}
 	return m
 }
 
@@ -236,29 +252,16 @@ func (m *Manager) NVar(i int) Ref {
 	return m.mkNode(m.var2level[i], True, False)
 }
 
-func hash3(a, b, c int32) uint64 {
-	h := uint64(a)*0x9e3779b97f4a7c15 ^ uint64(b)*0xbf58476d1ce4e5b9 ^ uint64(c)*0x94d049bb133111eb
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
-}
-
 // mkNode returns the canonical node (level, low, high), creating it if
 // needed.
 func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 	if low == high {
 		return low
 	}
-	h := hash3(level, int32(low), int32(high)) & uint64(len(m.buckets)-1)
-	for i := m.buckets[h]; i >= 0; {
-		n := m.node(Ref(i))
-		if n.level == level && n.low == low && n.high == high {
-			return Ref(i)
-		}
-		i = n.next
+	r, slot, tag := m.lookup(level, low, high)
+	if r != 0 {
+		return r
 	}
-	var r Ref
 	if k := len(m.free); k > 0 {
 		r = m.free[k-1]
 		m.free = m.free[:k-1]
@@ -268,41 +271,22 @@ func (m *Manager) mkNode(level int32, low, high Ref) Ref {
 		}
 		r = m.newSlot()
 	}
-	*m.node(r) = node{level: level, low: low, high: high, next: m.buckets[h]}
-	m.buckets[h] = int32(r)
+	*m.node(r) = node{level: level, low: low, high: high}
+	m.table[slot] = tag | uint32(r)
 	live := m.NumNodes()
 	if m.autoReorder && !m.reorderPending && live >= m.reorderThreshold {
 		m.reorderPending = true
 	}
-	if live > len(m.buckets) {
-		m.rehash()
-	}
-	return r
-}
-
-// rehash doubles the unique table, keeping its load factor at most one,
-// and grows the op cache along with it up to the ceiling.
-func (m *Manager) rehash() {
-	m.buckets = make([]int32, len(m.buckets)*2)
-	for i := range m.buckets {
-		m.buckets[i] = -1
-	}
-	for i := Ref(2); int(i) < m.used; i++ {
-		if m.node(i).level >= 0 { // skip free slots and reorder-dead nodes
-			m.hook(i)
+	if live > m.cacheMark {
+		m.cacheMark *= 2
+		if size := min(m.cacheMark, m.cacheMax); size > len(m.cache) {
+			m.growCache(size)
 		}
 	}
-	if size := min(len(m.buckets), m.cacheMax); size > len(m.cache) {
-		m.growCache(size)
+	if tableFull(live-2, len(m.table)) { // the terminals are not in the table
+		m.rebuild(2 * len(m.table))
 	}
-}
-
-// hook inserts f into the unique-table bucket for its current triple.
-func (m *Manager) hook(f Ref) {
-	n := m.node(f)
-	h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
-	n.next = m.buckets[h]
-	m.buckets[h] = int32(f)
+	return r
 }
 
 // growCache moves the op cache into a table of size entries, re-homing
@@ -312,8 +296,8 @@ func (m *Manager) growCache(size int) {
 	old := m.cache
 	m.cache = make([]cacheEntry, size)
 	for _, e := range old {
-		if e.op != 0 {
-			*m.cacheSlot(e.op, e.f, e.g, e.h) = e
+		if e.key != 0 {
+			*m.cacheSlot(int32(e.key>>refBits), Ref(e.key&refMask), e.g, e.h) = e
 		}
 	}
 }
@@ -324,7 +308,7 @@ func (m *Manager) cacheSlot(op int32, f, g, h Ref) *cacheEntry {
 
 func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
 	e := m.cacheSlot(op, f, g, h)
-	if e.op == op && e.f == f && e.g == g && e.h == h {
+	if e.key == uint32(op)<<refBits|uint32(f) && e.g == g && e.h == h {
 		m.cacheHits++
 		return e.result, true
 	}
@@ -335,7 +319,7 @@ func (m *Manager) cacheLookup(op int32, f, g, h Ref) (Ref, bool) {
 // cacheStore re-hashes rather than reusing the lookup's slot: the cache
 // may have grown in between.
 func (m *Manager) cacheStore(op int32, f, g, h, result Ref) {
-	*m.cacheSlot(op, f, g, h) = cacheEntry{op: op, f: f, g: g, h: h, result: result}
+	*m.cacheSlot(op, f, g, h) = cacheEntry{key: uint32(op)<<refBits | uint32(f), g: g, h: h, result: result}
 }
 
 // Ite computes if-then-else: f ? g : h.

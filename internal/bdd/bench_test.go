@@ -86,3 +86,55 @@ func BenchmarkCacheGrowth(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkUniqueTable measures mkNode's unique-table probe in a table of
+// over 1<<20 nodes. Each iteration makes 1<<16 calls, alternating a triple
+// already in the table with a new one; the new nodes are removed again,
+// untimed, so every iteration probes the same table. Each call's operands
+// depend on the previous result (r>>31 is always 0, but the compiler
+// cannot know), as in the kernel's recursions, so the probes' cache misses
+// cannot overlap.
+func BenchmarkUniqueTable(b *testing.B) {
+	const nvars, probes = 24, 1 << 16
+	m := New(nvars, Config{})
+	rng := rand.New(rand.NewSource(5))
+	funcs := randomFuncs(m, rng, nvars, 64)
+	acc := False
+	for i := 0; m.NumNodes() <= 1<<20; i++ {
+		acc = m.Xor(acc, m.Or(funcs[i%64], funcs[(i*7+1)%64]))
+	}
+	type triple struct {
+		level     int32
+		low, high Ref
+	}
+	ts := make([]triple, 0, probes)
+	for len(ts) < probes {
+		a, c := Ref(2+rng.Intn(m.used-2)), Ref(2+rng.Intn(m.used-2))
+		if len(ts)%2 == 0 {
+			n := m.node(a)
+			ts = append(ts, triple{n.level, n.low, n.high})
+		} else if top := min(m.node(a).level, m.node(c).level); a != c && top > 0 {
+			ts = append(ts, triple{int32(rng.Intn(int(top))), a, c})
+		}
+	}
+	mark := m.used
+	round := func() {
+		r := Ref(0)
+		for j := range ts {
+			t := ts[j^int(r>>31)]
+			r = m.mkNode(t.level, t.low, t.high)
+		}
+		b.StopTimer()
+		for r := m.used - 1; r >= mark; r-- {
+			m.unhook(Ref(r))
+		}
+		m.used = mark
+		b.StartTimer()
+	}
+	round() // let the table and the op cache take their final sizes
+	b.ResetTimer()
+	for b.Loop() {
+		round()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probes), "ns/probe")
+}

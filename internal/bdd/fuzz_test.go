@@ -9,22 +9,29 @@ import (
 // checks every result against a brute-force truth-table oracle, plus the
 // manager's structural invariants after each GC or reorder. Variables are
 // paired (2p, 2p+1) like the compiler's cur/next interleaving, so the
-// order-preserving renaming is exercised under reordering too.
+// order-preserving renaming is exercised under reordering too. The high
+// bit of the first byte turns the unique table's hash tags off, so every
+// probe compares every node in its run.
 func FuzzBDDOps(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 1, 2, 3, 2, 0, 1, 11})
 	f.Add([]byte{4, 0, 0, 0, 0, 2, 1, 4, 1, 5, 4, 2, 0, 1, 7, 2, 0xff, 12, 6, 3, 0, 1, 2})
 	f.Add([]byte{3, 0, 0, 2, 1, 1, 4, 3, 3, 0, 1, 9, 4, 0, 10, 11, 8, 5, 3, 4, 0x55})
 	f.Add([]byte{1, 0, 0, 0, 1, 3, 2, 0, 1, 5, 0, 9, 1, 2, 11, 9, 2, 0, 12})
+	f.Add([]byte{0x82, 0, 0, 0, 0, 2, 1, 4, 1, 5, 4, 2, 0, 1, 7, 2, 0xff, 12, 6, 3, 0, 1, 2}) // tags off
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		pairs := 1 + int(data[0])%6 // 2..12 variables, always paired
+		zeroTag := data[0]&0x80 != 0
 		nvars := 2 * pairs
 		data = data[1:]
 		words := (1<<nvars + 63) / 64
 
 		m := New(nvars, Config{AutoReorder: true, ReorderStart: 64, CacheSize: 1 << 12})
+		if zeroTag {
+			m.tagMask = 0
+		}
 		groups := make([][]int, pairs)
 		permCN := make([]int, nvars)
 		permNC := make([]int, nvars)

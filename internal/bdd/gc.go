@@ -58,22 +58,18 @@ func (m *Manager) GC(extra ...Ref) int {
 	}
 
 	// Rebuild the freelist and the unique table. Swept slots get the
-	// level -1 marker, so table scans (rehash, reordering) skip them
+	// level -1 marker, so pool scans (rebuild, reordering) skip them
 	// without consulting the freelist.
 	freed := 0
 	m.free = m.free[:0]
-	for i := range m.buckets {
-		m.buckets[i] = -1
-	}
 	for i := m.used - 1; i >= 2; i-- {
 		if !marked[i] {
 			m.node(Ref(i)).level = -1
 			m.free = append(m.free, Ref(i))
 			freed++
-			continue
 		}
-		m.hook(Ref(i))
 	}
+	m.rebuild(len(m.table))
 	m.gcCount++
 	m.gcFreed += freed
 	pause := time.Since(gcStart)

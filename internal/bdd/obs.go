@@ -55,9 +55,9 @@ func (m *Manager) SetObs(scope obs.Scope) {
 
 // PublishObs flushes the manager's counters to the attached registry:
 // cache hit/miss deltas since the previous flush, plus the live-node,
-// unique-table and op-cache size gauges. A change in the op-cache size
-// (a growth step) is also sampled onto the attached tracer. Safe (and a
-// near no-op) with no scope attached.
+// unique-table capacity and op-cache size gauges. A change in the op-cache
+// size (a growth step) is also sampled onto the attached tracer. Safe (and
+// a near no-op) with no scope attached.
 // The symbolic engine calls this once per fixpoint iteration.
 func (m *Manager) PublishObs() {
 	m.obs.hits.Add(int64(m.cacheHits - m.obs.lastHits))
@@ -66,7 +66,7 @@ func (m *Manager) PublishObs() {
 	n := int64(m.NumNodes())
 	m.obs.nodes.Set(n)
 	m.obs.nodesPeak.SetMax(n)
-	m.obs.uniqueSize.Set(int64(len(m.buckets)))
+	m.obs.uniqueSize.Set(int64(len(m.table)))
 	m.obs.cacheSize.Set(int64(len(m.cache)))
 	if len(m.cache) != m.obs.lastCache { // a growth step: one trace sample
 		m.obs.lastCache = len(m.cache)
@@ -96,7 +96,7 @@ func (m *Manager) publishReorder(sp *obs.Span, st ReorderStats) {
 // Stats is a point-in-time snapshot of the manager's internal counters.
 type Stats struct {
 	Nodes        int           // live nodes, terminals included
-	UniqueSize   int           // unique-table bucket count
+	UniqueSize   int           // unique-table slots (capacity, not occupancy)
 	CacheHits    int           // op-cache hits since creation
 	CacheMisses  int           // op-cache misses since creation
 	GCs          int           // collections run
@@ -112,7 +112,7 @@ type Stats struct {
 func (m *Manager) SnapshotStats() Stats {
 	return Stats{
 		Nodes:        m.NumNodes(),
-		UniqueSize:   len(m.buckets),
+		UniqueSize:   len(m.table),
 		CacheHits:    m.cacheHits,
 		CacheMisses:  m.cacheMisses,
 		GCs:          m.gcCount,

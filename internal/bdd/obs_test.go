@@ -39,6 +39,10 @@ func TestObsPublishing(t *testing.T) {
 		t.Fatalf("registry cache counters %d/%d disagree with stats %+v",
 			snap[obs.MBDDCacheHits], snap[obs.MBDDCacheMisses], st)
 	}
+	if snap[obs.MBDDUniqueSize] != int64(len(m.table)) || st.UniqueSize != len(m.table) {
+		t.Fatalf("unique-size gauge %d, stats %d, want the table capacity %d",
+			snap[obs.MBDDUniqueSize], st.UniqueSize, len(m.table))
+	}
 	if snap[obs.MBDDCacheEntries] != minCache {
 		t.Fatalf("cache-size gauge %d, want %d", snap[obs.MBDDCacheEntries], minCache)
 	}

@@ -167,34 +167,43 @@ func (m *Manager) SatCount(f Ref, vars []int) *big.Int {
 	for i, v := range sorted {
 		index[v] = i
 	}
-	memo := make(map[Ref]*big.Int)
-	var count func(f Ref, i int) *big.Int
-	count = func(f Ref, i int) *big.Int {
-		// Returns the count over variables sorted[i:].
-		if f == False {
-			return big.NewInt(0)
-		}
-		if f == True {
-			return pow2(len(sorted) - i)
+	// pos is f's position in sorted; the terminals sit past the end.
+	pos := func(f Ref) int {
+		if f == False || f == True {
+			return len(sorted)
 		}
 		j, ok := index[m.node(f).level]
 		if !ok {
 			panic("bdd: SatCount variable set does not cover support")
 		}
-		var sub *big.Int
-		if c, ok := memo[f]; ok {
-			sub = c
-		} else {
-			sub = new(big.Int).Add(count(m.node(f).low, j+1), count(m.node(f).high, j+1))
-			memo[f] = sub
-		}
-		return new(big.Int).Mul(sub, pow2(j-i))
+		return j
 	}
-	return count(f, 0)
-}
-
-func pow2(n int) *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), uint(n))
+	// below(f) counts f's models over the variables after its own
+	// position: one big.Int per node, shared by every edge into it. A
+	// child's count extends to its parent's suffix by a shift over the
+	// positions skipped between them.
+	zero, one := new(big.Int), big.NewInt(1)
+	memo := make(map[Ref]*big.Int)
+	var scratch big.Int
+	var below func(f Ref) *big.Int
+	below = func(f Ref) *big.Int {
+		switch f {
+		case False:
+			return zero
+		case True:
+			return one
+		}
+		if c, ok := memo[f]; ok {
+			return c
+		}
+		n, j := m.node(f), pos(f)
+		lo, hi := below(n.low), below(n.high)
+		c := new(big.Int).Lsh(lo, uint(pos(n.low)-j-1))
+		c.Add(c, scratch.Lsh(hi, uint(pos(n.high)-j-1)))
+		memo[f] = c
+		return c
+	}
+	return new(big.Int).Lsh(below(f), uint(pos(f)))
 }
 
 // PickCube returns one satisfying assignment of f as a slice indexed by

@@ -101,9 +101,7 @@ func (m *Manager) Reorder(extra ...Ref) ReorderStats {
 	sp := m.obs.tracer.Start(obs.CatBDD, "reorder")
 	m.GC(extra...)
 	before := m.NumNodes()
-	m.inReorder = true
 	swaps := m.sift(extra)
-	m.inReorder = false
 	m.GC(extra...)
 	after := m.NumNodes()
 	m.reorderPending = false
@@ -292,8 +290,21 @@ func (m *Manager) swapBlocks(blocks []*block, i int) {
 // would mean f's original cofactors were equal), so a rewritten node keeps
 // a level-l+1 child and can never collide with a surviving B-node — the
 // unique table stays canonical without touching any external Ref.
+//
+// Nodes in transit are out of the unique table, so the table only grows
+// between swaps: first it makes room for the worst case, every rewritten
+// A-node creating two new cofactors. A swap deletes every node of both
+// levels, and each deletion reads the node of every later entry in its
+// run, so sifting keeps the table at most 1/4 full, where runs are short.
 func (m *Manager) swapAdjacent(l int32) {
 	rs := m.rs
+	if need := rs.total + 2*rs.count[l]; 4*need > len(m.table) {
+		size := 2 * len(m.table)
+		for 4*need > size {
+			size *= 2
+		}
+		m.rebuild(size)
+	}
 	va, vb := m.level2var[l], m.level2var[l+1]
 	oldA, oldB := rs.lvl[l], rs.lvl[l+1]
 
@@ -392,23 +403,23 @@ func (m *Manager) swapAdjacent(l int32) {
 
 // reorderMk is mkNode for the swap primitive: it bypasses the freelist (so
 // dead level-list entries can never be confused with reused slots), skips
-// the node limit (transient growth is bounded by the sifting policy), and
-// maintains the reorder bookkeeping.
+// the node limit (transient growth is bounded by the sifting policy) but
+// not the Ref width, never grows the table (swapAdjacent has made room),
+// and maintains the reorder bookkeeping.
 func (m *Manager) reorderMk(level int32, low, high Ref, list *[]Ref) Ref {
 	if low == high {
 		return low
 	}
-	h := hash3(level, int32(low), int32(high)) & uint64(len(m.buckets)-1)
-	for i := m.buckets[h]; i >= 0; {
-		n := m.node(Ref(i))
-		if n.level == level && n.low == low && n.high == high {
-			return Ref(i)
-		}
-		i = n.next
+	r, slot, tag := m.lookup(level, low, high)
+	if r != 0 {
+		return r
 	}
-	r := m.newSlot()
-	*m.node(r) = node{level: level, low: low, high: high, next: m.buckets[h]}
-	m.buckets[h] = int32(r)
+	if m.used >= maxRefs {
+		panic(ErrNodeLimit)
+	}
+	r = m.newSlot()
+	*m.node(r) = node{level: level, low: low, high: high}
+	m.table[slot] = tag | uint32(r)
 	rs := m.rs
 	rs.ref = append(rs.ref, 0)
 	rs.ref[low]++
@@ -438,25 +449,4 @@ func (m *Manager) reorderKill(r Ref) {
 		m.reorderKill(low)
 		r = high
 	}
-}
-
-// unhook removes f from its unique-table bucket chain.
-func (m *Manager) unhook(f Ref) {
-	n := m.node(f)
-	h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
-	if m.buckets[h] == int32(f) {
-		m.buckets[h] = n.next
-		n.next = -1
-		return
-	}
-	for i := m.buckets[h]; i >= 0; {
-		p := m.node(Ref(i))
-		if p.next == int32(f) {
-			p.next = n.next
-			n.next = -1
-			return
-		}
-		i = p.next
-	}
-	panic("bdd: reorder: node missing from unique table")
 }

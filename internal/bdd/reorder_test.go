@@ -7,8 +7,8 @@ import (
 
 // checkInvariants verifies the structural health of the whole manager:
 // children strictly below parents, no duplicate triples (canonicity), no
-// collapsed nodes, every live node findable through the unique table, and
-// var2level/level2var mutually inverse.
+// collapsed nodes, every live node findable through the unique table (see
+// checkTable), and var2level/level2var mutually inverse.
 func checkInvariants(t *testing.T, m *Manager) {
 	t.Helper()
 	for i := 0; i < int(m.nvars); i++ {
@@ -46,19 +46,46 @@ func checkInvariants(t *testing.T, m *Manager) {
 			t.Fatalf("duplicate nodes %d and %d for triple %v", prev, i, key)
 		}
 		seen[key] = Ref(i)
-		// The node must be reachable through its bucket chain.
-		h := hash3(n.level, int32(n.low), int32(n.high)) & uint64(len(m.buckets)-1)
-		found := false
-		for j := m.buckets[h]; j >= 0; j = m.node(Ref(j)).next {
-			if j == int32(i) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("node %d missing from its unique-table bucket", i)
+		if r, _, _ := m.lookup(n.level, n.low, n.high); r != Ref(i) {
+			t.Fatalf("node %d: unique-table probe finds %d", i, r)
 		}
 	}
+	if entries := checkTable(t, m); entries != m.NumNodes()-2 {
+		t.Fatalf("unique table holds %d entries, want %d live non-terminals", entries, m.NumNodes()-2)
+	}
+}
+
+// checkTable verifies the unique table's own invariants and returns its
+// entry count: every entry is a live node (no free slot, no reorder-dead
+// node) carrying its hash tag, no empty slot lies between an entry's home
+// and its slot (so probes reach it), and the load is at most 3/4.
+func checkTable(t *testing.T, m *Manager) int {
+	t.Helper()
+	mask := len(m.table) - 1
+	entries := 0
+	for i, s := range m.table {
+		if s == 0 {
+			continue
+		}
+		entries++
+		r := Ref(s & refMask)
+		if r < 2 || int(r) >= m.used || m.node(r).level < 0 {
+			t.Fatalf("slot %d holds %d, not a live node", i, r)
+		}
+		h := m.home(r)
+		if s&m.tagMask != uint32(h>>32)&m.tagMask {
+			t.Fatalf("slot %d: node %d carries tag %#x, want %#x", i, r, s&m.tagMask, uint32(h>>32)&m.tagMask)
+		}
+		for j := int(h) & mask; j != i; j = (j + 1) & mask {
+			if m.table[j] == 0 {
+				t.Fatalf("node %d in slot %d: empty slot %d between it and its home", r, i, j)
+			}
+		}
+	}
+	if tableFull(entries, len(m.table)) {
+		t.Fatalf("unique table past 3/4 load: %d entries in %d slots", entries, len(m.table))
+	}
+	return entries
 }
 
 // truthTable snapshots f over nvars variables as a bitset.

@@ -43,7 +43,7 @@ const (
 	MBDDNodesPeak    = "bdd.nodes.peak"    // gauge (max): peak live nodes observed
 	MBDDCacheHits    = "bdd.cache.hits"    // counter: op-cache hits (ITE/quantify/compose/...)
 	MBDDCacheMisses  = "bdd.cache.misses"  // counter: op-cache misses
-	MBDDUniqueSize   = "bdd.unique.size"   // gauge: unique-table entries
+	MBDDUniqueSize   = "bdd.unique.size"   // gauge: unique-table slots (capacity)
 	MBDDCacheEntries = "bdd.cache.entries" // gauge: op-cache size; steps up as the cache grows
 	MBDDGCs          = "bdd.gc.count"      // counter: mark-sweep collections
 	MBDDGCFreed      = "bdd.gc.freed"      // counter: nodes reclaimed across all GCs
