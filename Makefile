@@ -86,6 +86,8 @@ fuzz-smoke:
 # campaign after three batches, resume it on a different worker count, run
 # the same spec fresh, and require the two reports to be byte-identical —
 # the mcfi determinism contract end to end, including the replay pass.
+# Then take the fresh corpus's first entry that is not fault-free and
+# require `ttasim -seed 7 -index K` to reproduce it (same scenario string).
 SIM_SMOKE_DIR := .sim-smoke
 .PHONY: sim-smoke
 sim-smoke:
@@ -95,8 +97,18 @@ sim-smoke:
 	$(GO) run ./cmd/ttasimfuzz -n 4 -samples 3000 -batch 500 -seed 7 -j 4 \
 		-out $(SIM_SMOKE_DIR)/campaign.jsonl -resume -report $(SIM_SMOKE_DIR)/resumed.json >/dev/null
 	$(GO) run ./cmd/ttasimfuzz -n 4 -samples 3000 -batch 500 -seed 7 -j 1 \
-		-out $(SIM_SMOKE_DIR)/fresh.jsonl -report $(SIM_SMOKE_DIR)/fresh.json >/dev/null
+		-out $(SIM_SMOKE_DIR)/fresh.jsonl -report $(SIM_SMOKE_DIR)/fresh.json \
+		-corpus $(SIM_SMOKE_DIR)/corpus.jsonl >/dev/null
 	cmp $(SIM_SMOKE_DIR)/resumed.json $(SIM_SMOKE_DIR)/fresh.json
+	@entry="$$(grep -v '"kind":"fault-free"' $(SIM_SMOKE_DIR)/corpus.jsonl | head -n 1)"; \
+	test -n "$$entry" || { echo "sim-smoke: corpus has no faulty entry"; exit 1; }; \
+	index="$$(printf '%s\n' "$$entry" | sed 's/^{"index":\([0-9]*\),.*/\1/')"; \
+	desc="$$(printf '%s\n' "$$entry" | sed 's/.*"desc":"\([^"]*\)".*/\1/')"; \
+	$(GO) run ./cmd/ttasim -n 4 -seed 7 -index "$$index" -json > $(SIM_SMOKE_DIR)/run.json || exit 1; \
+	grep -qF "\"scenario\": \"$$desc\"" $(SIM_SMOKE_DIR)/run.json || { \
+		echo "sim-smoke: ttasim -index $$index does not reproduce corpus entry \"$$desc\":"; \
+		cat $(SIM_SMOKE_DIR)/run.json; exit 1; }; \
+	echo "sim-smoke: ttasim -seed 7 -index $$index reproduces \"$$desc\""
 	@rm -rf $(SIM_SMOKE_DIR)
 
 # Daemon smoke test: submit a campaign to ttaserved, kill -9 the daemon

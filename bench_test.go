@@ -7,14 +7,15 @@ package ttastartup_test
 // the symbolic one — are documented per experiment in EXPERIMENTS.md.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"ttastartup/internal/core"
 	"ttastartup/internal/exp"
 	"ttastartup/internal/mc"
+	"ttastartup/internal/sim/mcfi"
 	"ttastartup/internal/tta"
-	"ttastartup/internal/tta/sim"
 	"ttastartup/internal/tta/startup"
 )
 
@@ -34,7 +35,7 @@ func BenchmarkFig4(b *testing.B) {
 	for _, degree := range []int{1, 3, 5} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
 			for b.Loop() {
-				if _, _, err := exp.Fig4(exp.Quick, 3, []int{degree}); err != nil {
+				if _, _, _, err := exp.Fig4(context.Background(), exp.Quick, 3, []int{degree}, 1, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -69,7 +70,7 @@ func BenchmarkFig5StateCount(b *testing.B) {
 func benchFig6(b *testing.B, lemma core.Lemma, n int) {
 	b.Helper()
 	for b.Loop() {
-		rows, _, err := exp.Fig6(exp.Quick, lemma, []int{n})
+		rows, _, _, err := exp.Fig6(context.Background(), exp.Quick, lemma, []int{n}, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,14 +205,13 @@ func BenchmarkFeedbackAblation(b *testing.B) {
 // BenchmarkFaultInjectionCampaign measures the Monte-Carlo simulator (the
 // statistical counterpart of exhaustive fault simulation).
 func BenchmarkFaultInjectionCampaign(b *testing.B) {
+	sp := mcfi.Spec{N: 4, Samples: 500, Seed: 1, Degree: 6, Mix: map[string]int{"faulty-node": 1}}
 	for b.Loop() {
-		res, err := sim.RunCampaign(sim.CampaignConfig{
-			N: 4, Runs: 500, Seed: 1, FaultyNode: 1, FaultDegree: 6,
-		})
+		rep, err := mcfi.Run(context.Background(), sp, mcfi.RunOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.AgreementOK != res.Runs {
+		if ks := rep.Kinds["faulty-node"]; ks.Disagreements != 0 {
 			b.Fatal("agreement failure in campaign")
 		}
 	}

@@ -5,7 +5,7 @@
 //	ttabench -exp all                 quick versions of every experiment
 //	ttabench -exp fig6b -full -n 3,4,5
 //	ttabench -exp bigbang -trace
-//	ttabench -exp fig4 -j 8           sweep on a worker pool
+//	ttabench -exp fig4 -j 1           uncontended per-job timings
 //	ttabench -exp fig6a -json         campaign-store records on stdout,
 //	                                  metrics registry in BENCH_obs.json
 //	ttabench -compare old.json new.json
@@ -48,7 +48,7 @@ func run() error {
 		nsFlag   = flag.String("n", "", "comma-separated cluster sizes (default per experiment)")
 		measure  = flag.Bool("measure", true, "measure reachable-state counts where applicable")
 		trace    = flag.Bool("trace", false, "print counterexample traces (bigbang)")
-		workers  = flag.Int("j", 0, "run sweep experiments (fig4, fig6a-d) on a campaign worker pool of this size (0: serial drivers)")
+		workers  = flag.Int("j", 0, "worker pool size for the sweep, campaign, and sim experiments (0: GOMAXPROCS; 1 gives uncontended timings)")
 		jsonOut  = flag.Bool("json", false, "emit campaign-store JSONL records instead of tables (fig4, fig6a-d only)")
 		obsOut   = flag.String("obs-out", "", "write the final metrics registry as JSON to this file (default BENCH_obs.json with -json, off otherwise)")
 		orderOut = flag.String("order-out", "BENCH_order.json", "write the order experiment's rows as JSON to this file (empty: table only)")
@@ -121,10 +121,6 @@ func run() error {
 		}
 		return nil
 	}
-	// parallel reports whether a sweep experiment should route through the
-	// campaign runner (-j or -json) rather than the serial exp driver.
-	parallel := *workers > 0 || *jsonOut
-
 	runOne := func(name string) error {
 		if *jsonOut {
 			switch name {
@@ -144,20 +140,12 @@ func run() error {
 			if len(ns) == 1 {
 				n = ns[0]
 			}
-			if parallel {
-				_, recs, table, err := exp.Fig4Campaign(context.Background(), scale, n, nil, *workers, nil)
-				if err != nil {
-					return err
-				}
-				if *jsonOut {
-					return emitRecords(recs)
-				}
-				fmt.Println(table)
-				break
-			}
-			_, table, err := exp.Fig4(scale, n, nil)
+			_, recs, table, err := exp.Fig4(context.Background(), scale, n, nil, *workers, nil)
 			if err != nil {
 				return err
+			}
+			if *jsonOut {
+				return emitRecords(recs)
 			}
 			fmt.Println(table)
 		case "fig5":
@@ -171,20 +159,12 @@ func run() error {
 				"fig6a": core.LemmaSafety, "fig6b": core.LemmaLiveness,
 				"fig6c": core.LemmaTimeliness, "fig6d": core.LemmaSafety2,
 			}[name]
-			if parallel {
-				_, recs, table, err := exp.Fig6Campaign(context.Background(), scale, lemma, ns, *workers, nil)
-				if err != nil {
-					return err
-				}
-				if *jsonOut {
-					return emitRecords(recs)
-				}
-				fmt.Println(table)
-				break
-			}
-			_, table, err := exp.Fig6(scale, lemma, ns)
+			_, recs, table, err := exp.Fig6(context.Background(), scale, lemma, ns, *workers, nil)
 			if err != nil {
 				return err
+			}
+			if *jsonOut {
+				return emitRecords(recs)
 			}
 			fmt.Println(table)
 		case "ic3":
@@ -261,7 +241,7 @@ func run() error {
 			if scale == exp.Full {
 				runs = 20000
 			}
-			_, table, err := exp.Campaign(n, runs)
+			_, table, err := exp.Campaign(context.Background(), n, runs, *workers)
 			if err != nil {
 				return err
 			}

@@ -77,7 +77,7 @@ func run() error {
 	// on a system shares one compiled context, and the model's lemma
 	// predicates feed the cone-of-influence pass (GCL011).
 	reports := make([]*lint.Report, len(targets))
-	err := campaign.ForEach(context.Background(), *workers, len(targets), func(ctx context.Context, i int) error {
+	err := campaign.ForEach(context.Background(), *workers, len(targets), func(ctx context.Context, _, i int) error {
 		tg := targets[i]
 		opts := lint.Options{
 			BDD:      bdd.Config{NodeLimit: *nodeLimit},

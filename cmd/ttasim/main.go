@@ -1,19 +1,19 @@
-// Command ttasim runs concrete simulations of the TTA startup algorithm:
-// single traced runs or Monte-Carlo fault-injection campaigns.
+// Command ttasim runs one traced simulation of the TTA startup algorithm:
+// scenario -index of the Monte-Carlo campaign that ttasimfuzz runs with the
+// same spec flags.
 //
-// Seed derivation is shared with the campaign engines (sim.DeriveSeed):
-// campaign run k expands from DeriveSeed(-seed, k), and a single run is
-// exactly run -index of that campaign. `ttasim -seed 7 -index 3` therefore
-// reproduces, with a full trace, the third run of `ttasim -campaign -seed 7`
-// — and of any ttasimfuzz campaign with the same spec.
+// The scenario flags (-n -seed -delta-init -max-slots -degree -mix
+// -no-big-bang) are ttasimfuzz's, with the same defaults, and the scenario
+// expands through the same mcfi.Spec.Scenario. `ttasim -seed 7 -index K`
+// therefore reproduces, with a full trace, corpus entry K of
+// `ttasimfuzz -seed 7`; ttasimfuzz is the campaign CLI.
 //
 // Examples:
 //
-//	ttasim -n 4                                     one traced fault-free run
-//	ttasim -n 4 -faulty-node 1 -degree 6 -seed 7    one traced faulty run
-//	ttasim -n 4 -seed 7 -index 3 -json              reproduce campaign run 3
-//	ttasim -n 4 -campaign -runs 10000 -faulty-node 1
-//	ttasim -n 5 -campaign -runs 5000 -faulty-hub 0 -json
+//	ttasim -n 4                                       scenario 0 of the default mix
+//	ttasim -n 4 -seed 7 -index 3 -json                reproduce campaign run 3
+//	ttasim -n 4 -mix faulty-node:1 -degree 6 -seed 7  one traced faulty-node run
+//	ttasim -n 5 -mix fault-free:1 -no-big-bang        the Section 5.2 variant
 package main
 
 import (
@@ -21,9 +21,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
-	"ttastartup/internal/tta"
+	"ttastartup/internal/sim/mcfi"
 	"ttastartup/internal/tta/sim"
 )
 
@@ -36,96 +35,54 @@ func main() {
 
 func run() error {
 	var (
-		n          = flag.Int("n", 4, "cluster size")
-		faultyNode = flag.Int("faulty-node", -1, "faulty node id (-1: none)")
-		faultyHub  = flag.Int("faulty-hub", -1, "faulty hub channel (-1: none)")
-		degree     = flag.Int("degree", 6, "fault degree for the faulty node (1..6)")
-		seed       = flag.Int64("seed", 1, "campaign seed; run k uses sim.DeriveSeed(seed, k)")
-		index      = flag.Uint64("index", 0, "which campaign run a single (non-campaign) invocation reproduces")
-		maxSlots   = flag.Int("max-slots", 0, "slot budget per run (0: 20·round)")
-		campaign   = flag.Bool("campaign", false, "run a Monte-Carlo fault-injection campaign")
-		runs       = flag.Int("runs", 1000, "campaign runs")
-		deltaInit  = flag.Int("delta-init", 0, "power-on window (0: 8·round)")
-		noBigBang  = flag.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
-		jsonOut    = flag.Bool("json", false, "emit the result as JSON on stdout (single runs stay untraced)")
+		n         = flag.Int("n", 4, "cluster size")
+		seed      = flag.Int64("seed", 1, "campaign seed; scenario k uses DeriveSeed(seed, k)")
+		index     = flag.Uint64("index", 0, "which campaign scenario to run")
+		deltaInit = flag.Int("delta-init", 0, "power-on window (0: 8·round)")
+		maxSlots  = flag.Int("max-slots", 0, "slot budget per run (0: 20·round)")
+		degree    = flag.Int("degree", 0, "pin every faulty node's fault degree (0: uniform 1..6 per node)")
+		mix       = flag.String("mix", "", "scenario mix as kind:weight,... (empty: the default mix)")
+		noBigBang = flag.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
+		jsonOut   = flag.Bool("json", false, "emit the result as JSON on stdout instead of the trace")
 	)
 	flag.Parse()
 
-	p := tta.Params{N: *n}
-	if err := p.Validate(); err != nil {
-		return err
+	sp := mcfi.Spec{
+		N: *n, Seed: *seed, DeltaInit: *deltaInit, MaxSlots: *maxSlots,
+		Degree: *degree, DisableBigBang: *noBigBang,
 	}
-	budget := *maxSlots
-	if budget == 0 {
-		budget = 20 * p.Round()
+	if *mix != "" {
+		var err error
+		if sp.Mix, err = mcfi.ParseMix(*mix); err != nil {
+			return fmt.Errorf("-mix: %w", err)
+		}
 	}
-
-	cc := sim.CampaignConfig{
-		N: *n, Runs: *runs, Seed: *seed,
-		FaultyNode: *faultyNode, FaultDegree: *degree,
-		FaultyHub: *faultyHub, DeltaInit: *deltaInit, MaxSlots: budget,
-	}
-
-	if *campaign {
-		res, err := sim.RunCampaign(cc)
-		if err != nil {
-			return err
-		}
-		if *jsonOut {
-			return writeJSON(campaignJSON{
-				N: *n, Runs: res.Runs, Seed: *seed,
-				Synchronized: res.Synchronized, AgreementOK: res.AgreementOK,
-				WorstStartup: res.WorstStartup, MeanStartup: res.MeanStartup(),
-				Bound: p.WorstCaseStartup(), StartupCounts: res.StartupCounts,
-			})
-		}
-		fmt.Println(res)
-		keys := make([]int, 0, len(res.StartupCounts))
-		for k := range res.StartupCounts {
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		fmt.Println("startup-time histogram (slots: runs):")
-		for _, k := range keys {
-			fmt.Printf("  %3d: %d\n", k, res.StartupCounts[k])
-		}
-		fmt.Printf("paper worst-case formula w_sup = 7·round − 5 = %d slots\n", p.WorstCaseStartup())
-		return nil
-	}
-
-	// A single run is run -index of the equivalent campaign: expand the
-	// scenario through the same generator and derivation the campaign and
-	// mcfi paths use, so any campaign run reproduces here with a trace.
-	g, err := cc.GenParams()
+	sp = sp.Normalize()
+	s, err := sp.Scenario(*index)
 	if err != nil {
 		return err
 	}
-	g.DisableBigBang = *noBigBang
-	campaignSeed := *seed
-	if campaignSeed == 0 {
-		campaignSeed = 1
-	}
-	s := sim.GenScenario(g, campaignSeed, *index)
-	c, err := sim.New(s.Config())
-	if err != nil {
-		return err
-	}
+
+	var trace func(*sim.Cluster)
 	if !*jsonOut {
 		fmt.Printf("scenario %d (%s), derived seed %d\n", *index, s.Describe(), s.Seed)
-		c.Log = func(line string) { fmt.Println(line) }
+		trace = func(c *sim.Cluster) { fmt.Println(c.Describe()) }
 	}
-	synced := c.Run(budget)
+	out, err := s.Execute(trace)
+	if err != nil {
+		return err
+	}
 	if *jsonOut {
 		return writeJSON(runJSON{
-			N: *n, Index: *index, Seed: campaignSeed, DerivedSeed: s.Seed,
-			Scenario: s.Describe(), Synced: synced, Agreement: c.Agreement(),
-			Startup: c.StartupTime(), Slots: c.Slot(), Bound: p.WorstCaseStartup(),
+			N: sp.N, Index: *index, Seed: sp.Seed, DerivedSeed: s.Seed,
+			Scenario: s.Describe(), Synced: out.Synced, Agreement: out.Agreement,
+			Startup: out.Startup, Slots: out.Slots, Bound: sp.Bound(),
 		})
 	}
 	fmt.Printf("synchronized=%v agreement=%v startup-time=%d slots\n",
-		synced, c.Agreement(), c.StartupTime())
-	if !synced {
-		return fmt.Errorf("cluster failed to synchronize within %d slots", budget)
+		out.Synced, out.Agreement, out.Startup)
+	if !out.Synced {
+		return fmt.Errorf("cluster failed to synchronize within %d slots", sp.MaxSlots)
 	}
 	return nil
 }
@@ -141,18 +98,6 @@ type runJSON struct {
 	Startup     int    `json:"startup"`
 	Slots       int    `json:"slots"`
 	Bound       int    `json:"bound"`
-}
-
-type campaignJSON struct {
-	N             int         `json:"n"`
-	Runs          int         `json:"runs"`
-	Seed          int64       `json:"seed"`
-	Synchronized  int         `json:"synchronized"`
-	AgreementOK   int         `json:"agreement_ok"`
-	WorstStartup  int         `json:"worst_startup"`
-	MeanStartup   float64     `json:"mean_startup"`
-	Bound         int         `json:"bound"`
-	StartupCounts map[int]int `json:"startup_counts"`
 }
 
 func writeJSON(v any) error {

@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"ttastartup/internal/obs"
@@ -108,7 +106,7 @@ func run() (int, error) {
 			NearMargin: *near, CorpusPerBucket: *corpusCap, DisableBigBang: *noBigBang,
 		}
 		if *mix != "" {
-			if sp.Mix, err = parseMix(*mix); err != nil {
+			if sp.Mix, err = mcfi.ParseMix(*mix); err != nil {
 				return 2, fmt.Errorf("-mix: %w", err)
 			}
 		}
@@ -269,27 +267,4 @@ func hasReason(e mcfi.CorpusEntry, reason string) bool {
 		}
 	}
 	return false
-}
-
-func parseMix(s string) (map[string]int, error) {
-	mix := make(map[string]int)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		kind, weight, ok := strings.Cut(part, ":")
-		if !ok {
-			return nil, fmt.Errorf("want kind:weight, got %q", part)
-		}
-		w, err := strconv.Atoi(weight)
-		if err != nil {
-			return nil, fmt.Errorf("bad weight in %q", part)
-		}
-		mix[strings.TrimSpace(kind)] = w
-	}
-	if len(mix) == 0 {
-		return nil, errors.New("empty mix")
-	}
-	return mix, nil
 }

@@ -30,7 +30,9 @@
 //	internal/exp          the paper's evaluation experiments
 //	cmd/ttamc             model-checking CLI
 //	cmd/ttalint           static-analysis CLI over the built-in models
-//	cmd/ttasim            simulation CLI
+//	internal/sim/mcfi     Monte-Carlo fault-injection campaigns
+//	cmd/ttasim            one traced simulation (a campaign scenario by index)
+//	cmd/ttasimfuzz        run Monte-Carlo fault-injection campaigns
 //	cmd/ttabench          regenerate the paper's tables and figures
 //	cmd/ttacampaign       run verification campaigns (sweep, resume, report)
 //
@@ -52,8 +54,9 @@
 // digests, and engine statistics, so an interrupted campaign resumes
 // without recomputation and reproduces the same final report; jobs that
 // exceed a per-job deadline are recorded inconclusive or rescued by the
-// bounded engine. cmd/ttacampaign is the CLI; cmd/ttabench -j/-json and
-// cmd/ttalint -all -j reuse the runner and its pool helper.
+// bounded engine. cmd/ttacampaign is the CLI; cmd/ttabench -j/-json reuse
+// the runner, and its pool helper campaign.ForEach is the one goroutine
+// pool of the repository (mcfi batches and replay, cmd/ttalint -all -j).
 //
 // The benchmarks in bench_test.go exercise one experiment per paper table
 // or figure; EXPERIMENTS.md records paper-versus-measured outcomes.

@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -366,12 +368,22 @@ func TestFallbackRescue(t *testing.T) {
 }
 
 // TestForEach covers the pool helper: full coverage, bounded concurrency,
+// worker indexes in range and never shared by two concurrent calls,
 // first-error propagation, and cancellation.
 func TestForEach(t *testing.T) {
+	const workers = 3
 	var mu sync.Mutex
 	seen := make(map[int]bool)
+	var busy [workers]int32
 	var active, peak int32
-	err := ForEach(context.Background(), 3, 50, func(ctx context.Context, i int) error {
+	err := ForEach(context.Background(), workers, 50, func(ctx context.Context, w, i int) error {
+		if w < 0 || w >= workers {
+			return fmt.Errorf("worker index %d outside [0,%d)", w, workers)
+		}
+		if !atomic.CompareAndSwapInt32(&busy[w], 0, 1) {
+			return fmt.Errorf("worker index %d used by two concurrent calls", w)
+		}
+		defer atomic.StoreInt32(&busy[w], 0)
 		cur := atomic.AddInt32(&active, 1)
 		for {
 			p := atomic.LoadInt32(&peak)
@@ -392,13 +404,13 @@ func TestForEach(t *testing.T) {
 	if len(seen) != 50 {
 		t.Fatalf("covered %d of 50 indexes", len(seen))
 	}
-	if peak > 3 {
+	if peak > workers {
 		t.Fatalf("concurrency bound violated: peak %d workers", peak)
 	}
 
 	boom := errors.New("boom")
 	var calls int32
-	err = ForEach(context.Background(), 2, 100, func(ctx context.Context, i int) error {
+	err = ForEach(context.Background(), 2, 100, func(ctx context.Context, _, i int) error {
 		atomic.AddInt32(&calls, 1)
 		if i == 3 {
 			return boom
@@ -414,11 +426,45 @@ func TestForEach(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = ForEach(ctx, 2, 10, func(ctx context.Context, i int) error { return nil })
+	err = ForEach(ctx, 2, 10, func(ctx context.Context, _, _ int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// TestRunJobsStoreFailureStops: once a record cannot be appended to the
+// store, RunJobs stops handing out jobs and returns the wrapped store
+// error with the partial report instead of running the rest for nothing.
+func TestRunJobsStoreFailureStops(t *testing.T) {
+	jobs := testJobs(t)
+	st, err := OpenStore(filepath.Join(t.TempDir(), "closed.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var started int32
+	prog := &startCounter{n: &started}
+	rep, err := RunJobs(context.Background(), jobs, RunOptions{Workers: 1, Store: st, Progress: prog})
+	if err == nil || !strings.HasPrefix(err.Error(), "campaign: result store:") {
+		t.Fatalf("want a campaign: result store: error, got %v", err)
+	}
+	if n := int(atomic.LoadInt32(&started)); n >= len(jobs) {
+		t.Fatalf("all %d jobs ran after the store failed", n)
+	}
+	if rep == nil || rep.Complete() {
+		t.Fatal("a stopped campaign must return an incomplete partial report")
+	}
+}
+
+// startCounter counts JobStarted calls.
+type startCounter struct {
+	NopProgress
+	n *int32
+}
+
+func (s *startCounter) JobStarted(int, Job) { atomic.AddInt32(s.n, 1) }
 
 // TestRecordJSONRoundTrip: records survive the store encoding unchanged.
 func TestRecordJSONRoundTrip(t *testing.T) {

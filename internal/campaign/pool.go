@@ -6,15 +6,17 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(ctx, i) for i in [0, n) on a bounded pool of worker
-// goroutines (workers <= 0: GOMAXPROCS). It is the campaign runner's pool
-// pattern extracted for reuse by other fan-out consumers (cmd/ttalint
-// -all, cmd/ttabench parallel experiments): indexes are handed out in
-// order, cancellation stops the feed and interrupts in-flight calls via
-// ctx, and all workers are joined before return. The first non-nil error
-// from fn (or ctx.Err() on cancellation) is returned; remaining indexes
-// are skipped once an error is seen.
-func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i int) error) error {
+// ForEach runs fn(ctx, w, i) for i in [0, n) on a bounded pool of worker
+// goroutines (workers <= 0: GOMAXPROCS) and is the one pool every fan-out
+// in the repository uses: RunJobs, the mcfi batch runner and replay, and
+// cmd/ttalint -all. w in [0, workers) names the goroutine making the call,
+// and no two concurrent calls share one, so callers can keep per-worker
+// state (trace lanes, "running" slots) without locking it per index.
+// Indexes are handed out in order, cancellation stops the feed and
+// interrupts in-flight calls via ctx, and all workers are joined before
+// return. The first non-nil error from fn (or ctx.Err() on cancellation)
+// is returned; remaining indexes are skipped once an error is seen.
+func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, w, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -52,7 +54,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, i
 				if failed() || ctx.Err() != nil {
 					continue // drain without working
 				}
-				if err := fn(ctx, i); err != nil {
+				if err := fn(ctx, w, i); err != nil {
 					fail(err)
 				}
 			}

@@ -65,13 +65,15 @@ func Run(ctx context.Context, spec Spec, opts RunOptions) (*Report, error) {
 	return RunJobs(ctx, jobs, opts)
 }
 
-// RunJobs executes a job list on a bounded worker pool. Jobs already
-// present in opts.Store are skipped; every other job runs exactly once and
-// its record is appended to the store before the next job is handed out to
-// that worker. Cancellation of ctx stops feeding the pool, interrupts the
+// RunJobs executes a job list on a ForEach pool. Jobs already present in
+// opts.Store are skipped; every other job runs exactly once and its record
+// is appended to the store before the next job is handed out to that
+// worker. Cancellation of ctx stops feeding the pool, interrupts the
 // engines' hot loops, waits for all workers to exit, and returns ctx's
 // error together with the partial report — finished jobs keep their
-// records, so a later resume run completes only the remainder.
+// records, so a later resume run completes only the remainder. A failed
+// store append stops the feed the same way and returns the wrapped
+// "campaign: result store:" error with the partial report.
 func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*Report, error) {
 	rep := NewReport(jobs)
 	progress := opts.Progress
@@ -124,47 +126,6 @@ func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*Report, error) 
 		return s
 	}
 
-	var storeErr error
-	jobCh := make(chan Job)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for job := range jobCh {
-				mu.Lock()
-				workerJob[w] = job.ID()
-				progress.JobStarted(w, job)
-				mu.Unlock()
-
-				// One span per job, on the worker's own trace lane (tid
-				// w+1) so the Chrome viewer shows pool utilisation.
-				sp := scope.Trace.StartOn(w+1, obs.CatCampaign, job.ID())
-				rec, err := runJob(ctx, job, opts)
-				if err == nil {
-					sp.Attr("verdict", rec.Verdict)
-					cJobs.Inc()
-					cBusy.Add(rec.WallMS)
-				}
-				sp.End()
-
-				mu.Lock()
-				workerJob[w] = ""
-				if err == nil {
-					rep.add(rec)
-					progress.JobFinished(w, rec)
-					if opts.Store != nil && storeErr == nil {
-						storeErr = opts.Store.Append(rec)
-					}
-				}
-				mu.Unlock()
-				// err != nil only on campaign cancellation: the job is
-				// deliberately not recorded (it has no verdict) and the
-				// feeder below is already draining.
-			}
-		}(w)
-	}
-
 	// Heartbeat reporter, stopped after the pool drains.
 	hbDone := make(chan struct{})
 	if opts.Heartbeat > 0 {
@@ -185,17 +146,43 @@ func RunJobs(ctx context.Context, jobs []Job, opts RunOptions) (*Report, error) 
 		}()
 	}
 
-	// Feed the pool from this goroutine; cancellation stops the feed.
-feed:
-	for _, job := range pending {
-		select {
-		case jobCh <- job:
-		case <-ctx.Done():
-			break feed
+	err := ForEach(ctx, nw, len(pending), func(ctx context.Context, w, i int) error {
+		job := pending[i]
+		mu.Lock()
+		workerJob[w] = job.ID()
+		progress.JobStarted(w, job)
+		mu.Unlock()
+
+		// One span per job, on the worker's own trace lane (tid w+1) so
+		// the Chrome viewer shows pool utilisation.
+		sp := scope.Trace.StartOn(w+1, obs.CatCampaign, job.ID())
+		rec, err := runJob(ctx, job, opts)
+		if err == nil {
+			sp.Attr("verdict", rec.Verdict)
+			cJobs.Inc()
+			cBusy.Add(rec.WallMS)
 		}
-	}
-	close(jobCh)
-	wg.Wait()
+		sp.End()
+
+		mu.Lock()
+		defer mu.Unlock()
+		workerJob[w] = ""
+		if err != nil {
+			// Only campaign cancellation: the job is deliberately not
+			// recorded (it has no verdict) and stays pending for a resume.
+			return err
+		}
+		rep.add(rec)
+		progress.JobFinished(w, rec)
+		if opts.Store != nil {
+			if err := opts.Store.Append(rec); err != nil {
+				// A record that cannot be made durable stops the campaign:
+				// running on would only compute results nobody keeps.
+				return fmt.Errorf("campaign: result store: %w", err)
+			}
+		}
+		return nil
+	})
 	close(hbDone)
 
 	mu.Lock()
@@ -203,13 +190,10 @@ feed:
 	progress.Done(final)
 	mu.Unlock()
 
-	if storeErr != nil {
-		return rep, fmt.Errorf("campaign: result store: %w", storeErr)
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, err
 }
 
 // ExecuteJob checks one job outside any pool: the job-level entry point

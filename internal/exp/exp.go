@@ -8,21 +8,23 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"strings"
 	"time"
 
 	"ttastartup/internal/bdd"
+	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/explicit"
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/obs"
+	"ttastartup/internal/sim/mcfi"
 	"ttastartup/internal/tta"
 	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/sim"
 	"ttastartup/internal/tta/startup"
 )
 
@@ -66,14 +68,28 @@ func (s Scale) bddConfig() bdd.Config {
 	return bdd.Config{}
 }
 
+// options are the engine options of every suite and campaign job the
+// experiments run at this scale.
+func (s Scale) options() core.Options {
+	return core.Options{
+		Symbolic: symbolic.Options{BDD: s.bddConfig(), NoTrace: true},
+		Obs:      Obs,
+	}
+}
+
 func (s Scale) suite(cfg startup.Config) (*core.Suite, error) {
 	if cfg.DeltaInit == 0 {
 		cfg.DeltaInit = s.deltaInit(cfg.N)
 	}
-	return core.NewSuite(cfg, core.Options{
-		Symbolic: symbolic.Options{BDD: s.bddConfig(), NoTrace: true},
-		Obs:      Obs,
-	})
+	return core.NewSuite(cfg, s.options())
+}
+
+// campaignOpts configures the campaign runner for the sweep experiments
+// (Fig. 4, Fig. 6, IC3) on a pool of workers (0: GOMAXPROCS). Rows are
+// reassembled in the deterministic job order of the sweep, so tables read
+// the same however many workers ran.
+func campaignOpts(scale Scale, workers int, progress campaign.Progress) campaign.RunOptions {
+	return campaign.RunOptions{Workers: workers, Progress: progress, Options: scale.options()}
 }
 
 // ---------------------------------------------------------------------------
@@ -107,47 +123,75 @@ type Fig4Row struct {
 	Timeliness time.Duration
 }
 
-// Fig4 measures symbolic model-checking time for the safety, liveness, and
-// timeliness lemmas as the fault degree increases (the paper used n = 4
-// and δ_failure = 1, 3, 5; Quick scale uses n = 3 and a reduced power-on
-// window). A fresh suite per degree keeps the timings independent.
-func Fig4(scale Scale, n int, degrees []int) ([]Fig4Row, string, error) {
+// fig4Jobs expands the Fig. 4 sweep into campaign jobs in table order.
+func fig4Jobs(scale Scale, n int, degrees []int) []campaign.Job {
 	if len(degrees) == 0 {
 		degrees = []int{1, 3, 5}
 	}
-	rows := make([]Fig4Row, 0, len(degrees))
+	var jobs []campaign.Job
 	for _, d := range degrees {
-		cfg := startup.DefaultConfig(n).WithFaultyNode(n / 2)
-		cfg.FaultDegree = d
-		row := Fig4Row{Degree: d}
-		for _, l := range []core.Lemma{core.LemmaSafety, core.LemmaLiveness, core.LemmaTimeliness} {
-			s, err := scale.suite(cfg)
-			if err != nil {
-				return nil, "", err
-			}
-			res, err := s.Check(l, core.EngineSymbolic)
-			if err != nil {
-				return nil, "", fmt.Errorf("fig4 degree %d %v: %w", d, l, err)
-			}
-			if !res.Holds() {
-				return nil, "", fmt.Errorf("fig4: lemma %v unexpectedly violated at degree %d", l, d)
-			}
-			switch l {
-			case core.LemmaSafety:
-				row.Safety = res.Stats.Duration
-			case core.LemmaLiveness:
-				row.Liveness = res.Stats.Duration
-			case core.LemmaTimeliness:
-				row.Timeliness = res.Stats.Duration
-			}
+		for _, lemma := range []string{"safety", "liveness", "timeliness"} {
+			jobs = append(jobs, campaign.Job{
+				Topology:   campaign.TopologyHub,
+				N:          n,
+				BigBang:    true,
+				FaultyNode: n / 2,
+				FaultyHub:  -1,
+				Degree:     d,
+				DeltaInit:  scale.deltaInit(n),
+				Lemma:      lemma,
+				Engine:     "symbolic",
+			})
 		}
-		rows = append(rows, row)
 	}
-	return rows, fig4Table(rows, n, scale), nil
+	return jobs
 }
 
-// fig4Table renders the Fig. 4 table (shared by the serial and the
-// campaign-backed parallel drivers).
+// Fig4 measures symbolic model-checking time for the safety, liveness, and
+// timeliness lemmas as the fault degree increases (the paper used n = 4
+// and δ_failure = 1, 3, 5; Quick scale uses n = 3 and a reduced power-on
+// window). Each cell is one campaign job with a private suite, run on a
+// pool of workers (0: GOMAXPROCS); its time is the job's wall time, model
+// build plus check, and workers = 1 keeps the timings uncontended. It
+// returns the rows (in degree order, independent of scheduling), the
+// campaign records (in job order), and the rendered table.
+func Fig4(ctx context.Context, scale Scale, n int, degrees []int, workers int, progress campaign.Progress) ([]Fig4Row, []campaign.Record, string, error) {
+	jobs := fig4Jobs(scale, n, degrees)
+	rep, err := campaign.RunJobs(ctx, jobs, campaignOpts(scale, workers, progress))
+	if err != nil {
+		return nil, nil, "", err
+	}
+	var rows []Fig4Row
+	var recs []campaign.Record
+	for i, job := range jobs {
+		rec, ok := rep.Record(job)
+		if !ok {
+			return nil, nil, "", fmt.Errorf("fig4: job %s did not run", job.ID())
+		}
+		if rec.Error != "" {
+			return nil, nil, "", fmt.Errorf("fig4: %s: %s", job.ID(), rec.Error)
+		}
+		if !rec.Holds {
+			return nil, nil, "", fmt.Errorf("fig4: lemma %v unexpectedly violated at degree %d", job.Lemma, job.Degree)
+		}
+		recs = append(recs, rec)
+		if i%3 == 0 {
+			rows = append(rows, Fig4Row{Degree: job.Degree})
+		}
+		row := &rows[len(rows)-1]
+		switch job.Lemma {
+		case "safety":
+			row.Safety = rec.Wall()
+		case "liveness":
+			row.Liveness = rec.Wall()
+		case "timeliness":
+			row.Timeliness = rec.Wall()
+		}
+	}
+	return rows, recs, fig4Table(rows, n, scale), nil
+}
+
+// fig4Table renders the Fig. 4 table.
 func fig4Table(rows []Fig4Row, n int, scale Scale) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 4 — effect of fault degree on model-checking time (n=%d, %s scale)\n", n, scale)
@@ -372,8 +416,7 @@ func Restart(scale Scale, n int) ([]RestartRow, string, error) {
 // CampaignRow summarises one Monte-Carlo configuration.
 type CampaignRow struct {
 	N            int
-	FaultyNode   int
-	FaultyHub    int
+	Kind         string // mcfi scenario kind
 	Runs         int
 	Synchronized int
 	AgreementOK  int
@@ -381,38 +424,38 @@ type CampaignRow struct {
 	PaperWSup    int
 }
 
-// Campaign runs Monte-Carlo fault injection on the concrete simulator for
-// a fault-free, a faulty-node, and a faulty-hub configuration, reporting
-// agreement and worst sampled startup time against the verified bound.
-func Campaign(n, runs int) ([]CampaignRow, string, error) {
-	configs := []sim.CampaignConfig{
-		{N: n, Runs: runs, Seed: 1, FaultyNode: -1, FaultyHub: -1},
-		{N: n, Runs: runs, Seed: 2, FaultyNode: n / 2, FaultDegree: 6, FaultyHub: -1},
-		{N: n, Runs: runs, Seed: 3, FaultyNode: -1, FaultyHub: 0},
+// Campaign runs Monte-Carlo fault injection on the concrete simulator as
+// three single-kind mcfi campaigns — fault-free, a degree-6 faulty node,
+// and a faulty hub, the faulty component drawn per run — on a pool of
+// workers (0: GOMAXPROCS), reporting agreement and worst sampled startup
+// time against the verified bound.
+func Campaign(ctx context.Context, n, runs, workers int) ([]CampaignRow, string, error) {
+	specs := []mcfi.Spec{
+		{N: n, Samples: runs, Seed: 1, Mix: map[string]int{"fault-free": 1}},
+		{N: n, Samples: runs, Seed: 2, Degree: 6, Mix: map[string]int{"faulty-node": 1}},
+		{N: n, Samples: runs, Seed: 3, Mix: map[string]int{"faulty-hub": 1}},
 	}
-	rows := make([]CampaignRow, 0, len(configs))
-	for _, cc := range configs {
-		res, err := sim.RunCampaign(cc)
+	rows := make([]CampaignRow, 0, len(specs))
+	for _, sp := range specs {
+		rep, err := mcfi.Run(ctx, sp, mcfi.RunOptions{Workers: workers, Scope: Obs})
 		if err != nil {
 			return nil, "", err
 		}
-		rows = append(rows, CampaignRow{
-			N: n, FaultyNode: cc.FaultyNode, FaultyHub: cc.FaultyHub,
-			Runs: res.Runs, Synchronized: res.Synchronized,
-			AgreementOK: res.AgreementOK, WorstStartup: res.WorstStartup,
-			PaperWSup: (tta.Params{N: n}).WorstCaseStartup(),
-		})
+		for kind, ks := range rep.Kinds {
+			rows = append(rows, CampaignRow{
+				N: n, Kind: kind, Runs: ks.Runs, Synchronized: ks.Synced,
+				AgreementOK: ks.Runs - ks.Disagreements, WorstStartup: ks.WorstStartup,
+				PaperWSup: rep.Bound,
+			})
+		}
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fault-injection campaign (simulator, n=%d, %d runs each)\n", n, runs)
 	b.WriteString("  fault          synced   agreement  worst-startup  paper w_sup\n")
 	for _, r := range rows {
-		fault := "none"
-		switch {
-		case r.FaultyNode >= 0:
-			fault = fmt.Sprintf("node %d (deg 6)", r.FaultyNode)
-		case r.FaultyHub >= 0:
-			fault = fmt.Sprintf("hub %d", r.FaultyHub)
+		fault := map[string]string{"faulty-node": "node (deg 6)", "faulty-hub": "hub"}[r.Kind]
+		if fault == "" {
+			fault = "none"
 		}
 		fmt.Fprintf(&b, "  %-14s %6d   %9d  %6d         %d\n",
 			fault, r.Synchronized, r.AgreementOK, r.WorstStartup, r.PaperWSup)
@@ -443,46 +486,76 @@ type Fig6Row struct {
 	WSup      int // only for the timeliness sub-table
 }
 
-// Fig6 runs one lemma of the exhaustive fault simulation (fault degree 6)
-// across cluster sizes: sub-tables (a) safety, (b) liveness, (c)
-// timeliness against a faulty node, and (d) safety-2 against a faulty hub.
-func Fig6(scale Scale, lemma core.Lemma, ns []int) ([]Fig6Row, string, error) {
+// fig6Jobs expands one Fig. 6 sub-table into campaign jobs in table order.
+func fig6Jobs(scale Scale, lemma core.Lemma, ns []int) []campaign.Job {
 	if len(ns) == 0 {
 		ns = []int{3, 4}
 	}
-	rows := make([]Fig6Row, 0, len(ns))
+	var jobs []campaign.Job
 	for _, n := range ns {
-		cfg := startup.DefaultConfig(n)
+		j := campaign.Job{
+			Topology:   campaign.TopologyHub,
+			N:          n,
+			BigBang:    true,
+			FaultyNode: n / 2,
+			FaultyHub:  -1,
+			Degree:     6,
+			DeltaInit:  scale.deltaInit(n),
+			Lemma:      lemma.String(),
+			Engine:     "symbolic",
+		}
 		if lemma == core.LemmaSafety2 {
-			cfg = cfg.WithFaultyHub(0)
-		} else {
-			cfg = cfg.WithFaultyNode(n / 2)
+			j.FaultyNode = -1
+			j.FaultyHub = 0
+			j.Degree = 0
 		}
-		s, err := scale.suite(cfg)
-		if err != nil {
-			return nil, "", err
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// Fig6 runs one lemma of the exhaustive fault simulation (fault degree 6)
+// across cluster sizes: sub-tables (a) safety, (b) liveness, (c)
+// timeliness against a faulty node, and (d) safety-2 against a faulty hub.
+// It runs on a campaign worker pool like Fig4 and has the same shape.
+func Fig6(ctx context.Context, scale Scale, lemma core.Lemma, ns []int, workers int, progress campaign.Progress) ([]Fig6Row, []campaign.Record, string, error) {
+	jobs := fig6Jobs(scale, lemma, ns)
+	rep, err := campaign.RunJobs(ctx, jobs, campaignOpts(scale, workers, progress))
+	if err != nil {
+		return nil, nil, "", err
+	}
+	var rows []Fig6Row
+	var recs []campaign.Record
+	for _, job := range jobs {
+		rec, ok := rep.Record(job)
+		if !ok {
+			return nil, nil, "", fmt.Errorf("fig6: job %s did not run", job.ID())
 		}
-		res, err := s.Check(lemma, core.EngineSymbolic)
-		if err != nil {
-			return nil, "", fmt.Errorf("fig6 %v n=%d: %w", lemma, n, err)
+		if rec.Error != "" {
+			return nil, nil, "", fmt.Errorf("fig6: %s: %s", job.ID(), rec.Error)
 		}
+		recs = append(recs, rec)
 		row := Fig6Row{
-			N:         n,
-			Eval:      res.Holds(),
-			CPU:       res.Stats.Duration,
-			BDDVars:   res.Stats.BDDVars,
-			Reachable: res.Stats.Reachable,
+			N:       job.N,
+			Eval:    rec.Holds,
+			CPU:     rec.Wall(),
+			BDDVars: rec.Stats.BDDVars,
+		}
+		if rec.Stats.Reachable != "" {
+			row.Reachable, _ = new(big.Int).SetString(rec.Stats.Reachable, 10)
 		}
 		if lemma == core.LemmaTimeliness {
-			row.WSup = s.TimelinessBound()
+			// The suite's timeliness bound: w_sup plus the discretisation
+			// margin of one round (see core.Suite.TimelinessBound).
+			p := tta.Params{N: job.N}
+			row.WSup = p.WorstCaseStartup() + p.Round()
 		}
 		rows = append(rows, row)
 	}
-	return rows, fig6Table(rows, lemma, scale), nil
+	return rows, recs, fig6Table(rows, lemma, scale), nil
 }
 
-// fig6Table renders a Fig. 6 sub-table (shared by the serial and the
-// campaign-backed parallel drivers).
+// fig6Table renders a Fig. 6 sub-table.
 func fig6Table(rows []Fig6Row, lemma core.Lemma, scale Scale) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig. 6 — exhaustive fault simulation, lemma %v (δ_failure=6, feedback on, %s scale)\n", lemma, scale)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestFig3MatchesPaper(t *testing.T) {
 // monotone in the fault degree, and liveness is the most expensive lemma
 // at the highest degree.
 func TestFig4Shape(t *testing.T) {
-	rows, table, err := Fig4(Quick, 3, []int{1, 5})
+	rows, _, table, err := Fig4(context.Background(), Quick, 3, []int{1, 5}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestFig5FormulasMatchPaper(t *testing.T) {
 }
 
 func TestFig6SafetyRow(t *testing.T) {
-	rows, _, err := Fig6(Quick, core.LemmaSafety, []int{3})
+	rows, _, _, err := Fig6(context.Background(), Quick, core.LemmaSafety, []int{3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestFig6SafetyRow(t *testing.T) {
 }
 
 func TestFig6Safety2Row(t *testing.T) {
-	rows, _, err := Fig6(Quick, core.LemmaSafety2, []int{3})
+	rows, _, _, err := Fig6(context.Background(), Quick, core.LemmaSafety2, []int{3}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestScaleString(t *testing.T) {
 }
 
 func TestCampaignExperiment(t *testing.T) {
-	rows, table, err := Campaign(4, 300)
+	rows, table, err := Campaign(context.Background(), 4, 300, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

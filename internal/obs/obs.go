@@ -84,8 +84,9 @@ const (
 	MCampaignBusyMS  = "campaign.busy_ms"   // counter: summed per-job wall time (utilisation numerator)
 	MCampaignWorkers = "campaign.workers"   // gauge: worker-pool size
 
-	// Monte-Carlo fault-injection campaigns (internal/sim/mcfi and the
-	// legacy sim.RunCampaign wrapper).
+	// Monte-Carlo fault-injection campaigns (internal/sim/mcfi). The
+	// per-batch counters come from mcfi.PublishBatch, for mcfi.Run and the
+	// daemon's mcfi units alike.
 	MSimRuns        = "sim.runs"            // counter: scenarios executed
 	MSimSlots       = "sim.slots"           // counter: simulator slots stepped, summed over runs
 	MSimUnsynced    = "sim.unsynced"        // counter: runs that never synchronised within the bound

@@ -36,7 +36,8 @@ func waitGoroutines(t *testing.T, baseline int) {
 func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	var log strings.Builder
+	// The heartbeat goroutine writes the log while this test reads it.
+	var log syncBuffer
 	scope, done, err := SetupCtx(ctx, SetupOptions{
 		Heartbeat: time.Millisecond,
 		PprofAddr: "127.0.0.1:0",
@@ -52,7 +53,13 @@ func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	}
 
 	// The debug endpoint is live before cancellation.
-	addr := strings.TrimSpace(strings.TrimPrefix(lastLine(log.String()), "obs: serving /debug/pprof and /metricsz on http://"))
+	const banner = "obs: serving /debug/pprof and /metricsz on http://"
+	var addr string
+	for _, line := range strings.Split(log.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, banner); ok {
+			addr = strings.TrimSpace(rest)
+		}
+	}
 	if addr == "" {
 		t.Fatalf("no pprof banner in log: %q", log.String())
 	}
@@ -155,9 +162,4 @@ func TestSetupCtxDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
-}
-
-func lastLine(s string) string {
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	return lines[len(lines)-1]
 }

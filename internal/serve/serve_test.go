@@ -17,6 +17,7 @@ import (
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
 	"ttastartup/internal/jsonl"
+	"ttastartup/internal/obs"
 	"ttastartup/internal/sim/mcfi"
 )
 
@@ -233,6 +234,41 @@ func TestMCFIJobMatchesLocalRun(t *testing.T) {
 	st2 = waitDone(t, d, st2.ID)
 	if st2.Cached != 3 || st2.Executed != 0 {
 		t.Fatalf("mcfi resubmission not fully cached: %+v", st2)
+	}
+}
+
+// TestMCFICountersMatchRun: an mcfi job on the in-process daemon and
+// mcfi.Run on the same spec publish the same sim.* counters, so a
+// dashboard reads ttaserved and ttasimfuzz the same way.
+func TestMCFICountersMatchRun(t *testing.T) {
+	served := obs.Scope{Reg: obs.NewRegistry()}
+	d, err := New(Config{Dir: t.TempDir(), Workers: 2, Scope: served, Log: os.Stderr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st, err := d.Submit(SubmitRequest{Kind: KindMCFI, MCFI: testMCFISpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st = waitDone(t, d, st.ID); st.State != "done" {
+		t.Fatalf("unexpected final status: %+v", st)
+	}
+	local := obs.Scope{Reg: obs.NewRegistry()}
+	rep, err := mcfi.Run(context.Background(), *testMCFISpec(), mcfi.RunOptions{Workers: 2, Scope: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{obs.MSimRuns, obs.MSimSlots, obs.MSimUnsynced, obs.MSimViolations, obs.MSimNear} {
+		if got, want := served.Reg.Counter(name).Value(), local.Reg.Counter(name).Value(); got != want {
+			t.Errorf("%s: daemon %d, mcfi.Run %d", name, got, want)
+		}
+	}
+	if got := local.Reg.Counter(obs.MSimViolations).Value(); got != int64(rep.Violations) {
+		t.Errorf("sim.violations = %d, report counts %d violating runs", got, rep.Violations)
+	}
+	if rep.Exceedances == 0 {
+		t.Error("the spec produced no exceedance, so sim.violations cannot tell them apart")
 	}
 }
 

@@ -73,16 +73,10 @@ func runTask(ctx context.Context, t task, scope obs.Scope) result {
 			return res
 		}
 		res.BatchRecord = &rec
-		// ExecuteBatch has no obs hook; publish the batch-level counters
-		// from its record so mcfi units profile like verify units.
-		scope.Reg.Counter(obs.MSimRuns).Add(int64(rec.Count))
-		scope.Reg.Counter(obs.MSimBatches).Inc()
-		for _, ks := range rec.Kinds {
-			scope.Reg.Counter(obs.MSimSlots).Add(ks.TotalSlots)
-			scope.Reg.Counter(obs.MSimUnsynced).Add(int64(ks.Unsynced))
-			scope.Reg.Counter(obs.MSimViolations).Add(int64(ks.Disagreements + ks.OverBound))
-			scope.Reg.Counter(obs.MSimNear).Add(int64(ks.Near))
-		}
+		// ExecuteBatch has no obs hook; publish the batch's counters
+		// exactly as mcfi.Run does, so mcfi units profile like verify units
+		// and sim.* means the same in ttasimfuzz and ttaserved.
+		mcfi.PublishBatch(scope, &rec)
 	default:
 		res.Err = fmt.Sprintf("serve: unknown task kind %q", t.Kind)
 	}

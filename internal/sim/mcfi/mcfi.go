@@ -27,8 +27,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"ttastartup/internal/tta"
@@ -120,6 +122,47 @@ func (sp Spec) GenParams() (sim.GenParams, error) {
 	}
 	g = g.Normalize()
 	return g, nil
+}
+
+// Scenario normalizes the spec and expands its scenario k — the run a
+// campaign over sp executes at index k, and the run `ttasim -index k`
+// reproduces with a trace.
+func (sp Spec) Scenario(k uint64) (*sim.Scenario, error) {
+	sp = sp.Normalize()
+	g, err := sp.GenParams()
+	if err != nil {
+		return nil, err
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	return sim.GenScenario(g, sp.Seed, k), nil
+}
+
+// ParseMix parses a scenario mix written as kind:weight,... (the -mix flag
+// of ttasimfuzz and ttasim) into Spec.Mix form. Kind names are checked
+// when the spec is validated.
+func ParseMix(s string) (map[string]int, error) {
+	mix := make(map[string]int)
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		kind, weight, ok := strings.Cut(part, ":")
+		if !ok {
+			return nil, fmt.Errorf("want kind:weight, got %q", part)
+		}
+		w, err := strconv.Atoi(weight)
+		if err != nil {
+			return nil, fmt.Errorf("bad weight in %q", part)
+		}
+		mix[strings.TrimSpace(kind)] = w
+	}
+	if len(mix) == 0 {
+		return nil, errors.New("empty mix")
+	}
+	return mix, nil
 }
 
 // Validate checks the spec (after normalization).
@@ -258,8 +301,7 @@ func (k *KindStats) add(o *KindStats) {
 // seed: the scenario index regenerates the exact run under the campaign's
 // spec.
 type CorpusEntry struct {
-	// Index regenerates the scenario via sim.GenScenario(spec params,
-	// spec seed, Index).
+	// Index regenerates the scenario via Spec.Scenario(Index).
 	Index uint64 `json:"index"`
 	// Seed is the derived per-scenario seed (redundant with Index, kept
 	// for standalone reproduction).

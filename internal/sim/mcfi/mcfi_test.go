@@ -384,3 +384,73 @@ func TestExecuteBatchReduceMatchesRun(t *testing.T) {
 		t.Fatal("non-contiguous batch set accepted")
 	}
 }
+
+// TestScenarioReproducesCorpus: Spec.Scenario(k) is the run the campaign
+// executed at index k — what lets `ttasim -seed S -index K` replay any
+// corpus entry of the same spec with a trace. The default mix matters: a
+// single-kind expansion would still match the fault-free entries.
+func TestScenarioReproducesCorpus(t *testing.T) {
+	sp := Spec{N: 4, Samples: 2000, Seed: 7, Batch: 500}
+	rep, err := Run(context.Background(), sp, RunOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulty := 0
+	for _, e := range rep.Corpus {
+		s, err := sp.Scenario(e.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Seed != e.Seed || s.Kind.String() != e.Kind || s.Describe() != e.Desc {
+			t.Errorf("entry %d: Scenario gives %s seed %d %q, corpus has %s seed %d %q",
+				e.Index, s.Kind, s.Seed, s.Describe(), e.Kind, e.Seed, e.Desc)
+		}
+		if e.Kind != sim.ScenFaultFree.String() {
+			faulty++
+		}
+	}
+	if faulty == 0 {
+		t.Fatal("corpus holds only fault-free entries")
+	}
+}
+
+// TestRunCancelAndCounters: a cancelled context returns an error, and a
+// completed run publishes sim.runs and sim.slots.
+func TestRunCancelAndCounters(t *testing.T) {
+	sp := Spec{N: 4, Samples: 50, Seed: 7, Mix: map[string]int{"fault-free": 1}}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(ctx, sp, RunOptions{}); err == nil {
+		t.Fatal("cancelled campaign returned no error")
+	}
+
+	scope := obs.Scope{Reg: obs.NewRegistry()}
+	rep, err := Run(context.Background(), sp, RunOptions{Scope: scope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks := rep.Kinds["fault-free"]; ks == nil || ks.Synced != 50 {
+		t.Fatalf("fault-free campaign: %v synchronized, want 50", rep.Kinds)
+	}
+	if got := scope.Reg.Counter(obs.MSimRuns).Value(); got != 50 {
+		t.Fatalf("sim.runs = %d, want 50", got)
+	}
+	if scope.Reg.Counter(obs.MSimSlots).Value() == 0 {
+		t.Fatal("sim.slots not published")
+	}
+}
+
+func TestParseMix(t *testing.T) {
+	mix, err := ParseMix(" fault-free:1, faulty-node :2 ,")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(mix) != 2 || mix["fault-free"] != 1 || mix["faulty-node"] != 2 {
+		t.Fatalf("ParseMix = %v", mix)
+	}
+	for _, bad := range []string{"", ",", "fault-free", "fault-free:x"} {
+		if _, err := ParseMix(bad); err == nil {
+			t.Errorf("ParseMix(%q) accepted", bad)
+		}
+	}
+}

@@ -69,11 +69,10 @@ func replayReasons(violations, exceeds []string, near bool) []string {
 // Replay re-expands one corpus entry under sp and cross-checks it.
 func Replay(sp Spec, e CorpusEntry) (*ReplayResult, error) {
 	sp = sp.Normalize()
-	g, err := sp.GenParams()
+	s, err := sp.Scenario(e.Index)
 	if err != nil {
 		return nil, err
 	}
-	s := sim.GenScenario(g, sp.Seed, e.Index)
 	if s.Seed != e.Seed || s.Kind.String() != e.Kind {
 		return nil, fmt.Errorf("mcfi: corpus entry %d does not belong to this spec: regenerated %s seed %d, recorded %s seed %d",
 			e.Index, s.Kind, s.Seed, e.Kind, e.Seed)
@@ -152,7 +151,7 @@ func Replay(sp Spec, e CorpusEntry) (*ReplayResult, error) {
 // itself could not run.
 func ReplayCorpusCtx(ctx context.Context, sp Spec, entries []CorpusEntry, workers int, scope obs.Scope) ([]ReplayResult, error) {
 	results := make([]ReplayResult, len(entries))
-	err := campaign.ForEach(ctx, workers, len(entries), func(ctx context.Context, i int) error {
+	err := campaign.ForEach(ctx, workers, len(entries), func(ctx context.Context, _, i int) error {
 		r, err := Replay(sp, entries[i])
 		if err != nil {
 			return err

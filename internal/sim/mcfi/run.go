@@ -104,7 +104,7 @@ func Run(ctx context.Context, sp Spec, opt RunOptions) (*Report, error) {
 		results := make(chan BatchRecord, workers)
 		poolErr := make(chan error, 1)
 		go func() {
-			poolErr <- campaign.ForEach(wctx, workers, limit-done, func(ctx context.Context, i int) error {
+			poolErr <- campaign.ForEach(wctx, workers, limit-done, func(ctx context.Context, _, i int) error {
 				rec, err := runBatch(sp, g, done+i)
 				if err != nil {
 					return err
@@ -147,8 +147,7 @@ func Run(ctx context.Context, sp Spec, opt RunOptions) (*Report, error) {
 				}
 				red.reduce(&r)
 				next++
-				opt.Scope.Reg.Counter(obs.MSimBatches).Add(1)
-				opt.Scope.Reg.Counter(obs.MSimRuns).Add(int64(r.Count))
+				PublishBatch(opt.Scope, &r)
 				if budgetHit() {
 					paused = true
 					cancel()
@@ -175,13 +174,33 @@ func Run(ctx context.Context, sp Spec, opt RunOptions) (*Report, error) {
 	}
 
 	rep := red.finish(done, done == nBatches)
-	opt.Scope.Reg.Counter(obs.MSimSlots).Add(red.totalSlots)
-	opt.Scope.Reg.Counter(obs.MSimViolations).Add(int64(rep.Violations))
-	opt.Scope.Reg.Counter(obs.MSimNear).Add(int64(rep.Near))
 	opt.Scope.Reg.Gauge(obs.MSimCorpusSize).Set(int64(len(rep.Corpus)))
 	opt.Scope.Reg.Gauge(obs.MSimCoverStates).Set(int64(rep.CoverStates))
 	opt.Scope.Reg.Gauge(obs.MSimCoverEdges).Set(int64(rep.CoverEdges))
 	return rep, nil
+}
+
+// PublishBatch adds one executed batch's counters to scope: sim.runs,
+// sim.slots, sim.unsynced, sim.violations (in-hypothesis runs that
+// contradict a verified lemma, each counted once) and sim.near, plus one
+// sim.batches.done. Run calls it per batch it reduces and the verification
+// daemon per mcfi unit, so the counters mean the same in both.
+func PublishBatch(scope obs.Scope, rec *BatchRecord) {
+	reg := scope.Reg
+	reg.Counter(obs.MSimBatches).Inc()
+	reg.Counter(obs.MSimRuns).Add(int64(rec.Count))
+	for _, ks := range rec.Kinds {
+		reg.Counter(obs.MSimSlots).Add(ks.TotalSlots)
+		reg.Counter(obs.MSimUnsynced).Add(int64(ks.Unsynced))
+		reg.Counter(obs.MSimNear).Add(int64(ks.Near))
+	}
+	violations := 0
+	for i := range rec.Candidates {
+		if len(rec.Candidates[i].Violations) > 0 {
+			violations++
+		}
+	}
+	reg.Counter(obs.MSimViolations).Add(int64(violations))
 }
 
 // ExecuteBatch simulates one batch of the campaign described by sp: a pure

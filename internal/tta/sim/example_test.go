@@ -23,19 +23,3 @@ func ExampleCluster_Run() {
 	// synchronized: true
 	// agreement:   true
 }
-
-// ExampleRunCampaign runs a small Monte-Carlo fault-injection campaign
-// against a degree-6 faulty node.
-func ExampleRunCampaign() {
-	res, err := sim.RunCampaign(sim.CampaignConfig{
-		N: 4, Runs: 500, Seed: 7, FaultyNode: 1, FaultDegree: 6,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("agreement violations:", res.Runs-res.AgreementOK)
-	fmt.Println("worst startup within verified bound:", res.WorstStartup <= 23)
-	// Output:
-	// agreement violations: 0
-	// worst startup within verified bound: true
-}

@@ -108,9 +108,7 @@ func (m Mix) Validate() error {
 	return nil
 }
 
-// GenParams parameterises scenario generation. The Fixed* fields pin a
-// choice the generator would otherwise randomize — the legacy RunCampaign
-// wrapper uses them to reproduce its historical configuration shape.
+// GenParams parameterises scenario generation.
 type GenParams struct {
 	// N is the cluster size.
 	N int
@@ -125,12 +123,6 @@ type GenParams struct {
 	// FixedDegree pins every faulty node's degree (0: uniform 1..6 per
 	// faulty node).
 	FixedDegree int
-	// FixedFaultyNode pins which node is faulty in node-fault scenarios
-	// (nil: random).
-	FixedFaultyNode *int
-	// FixedFaultyHub pins which hub is faulty in hub-fault scenarios
-	// (nil: random).
-	FixedFaultyHub *int
 	// DisableBigBang applies the Section 5.2 design variant to every run.
 	DisableBigBang bool
 }
@@ -167,12 +159,6 @@ func (g GenParams) Validate() error {
 	}
 	if g.FixedDegree < 0 || g.FixedDegree > 6 {
 		return fmt.Errorf("sim: fixed degree %d out of range 0..6", g.FixedDegree)
-	}
-	if g.FixedFaultyNode != nil && (*g.FixedFaultyNode < 0 || *g.FixedFaultyNode >= g.N) {
-		return fmt.Errorf("sim: fixed faulty node %d out of range", *g.FixedFaultyNode)
-	}
-	if g.FixedFaultyHub != nil && (*g.FixedFaultyHub < 0 || *g.FixedFaultyHub > 1) {
-		return fmt.Errorf("sim: fixed faulty hub %d out of range", *g.FixedFaultyHub)
 	}
 	return nil
 }
@@ -252,31 +238,18 @@ func GenScenario(g GenParams, campaignSeed int64, index uint64) *Scenario {
 
 	// 2. Power-on pattern. Nodes wake anywhere in the window; the first
 	// correct hub powers on immediately (the paper's load-bearing power-on
-	// assumption — see RunCampaign's history), the other correct hub is
-	// free within the window, and a faulty hub's delay is part of its
-	// fault behaviour.
+	// assumption), the other correct hub is free within the window, and a
+	// faulty hub's delay is part of its fault behaviour.
 	s.NodeDelay = make([]int, g.N)
 	for i := range s.NodeDelay {
 		s.NodeDelay[i] = 1 + rng.Intn(g.DeltaInit)
 	}
 
-	pickHub := func() int {
-		if g.FixedFaultyHub != nil {
-			return *g.FixedFaultyHub
-		}
-		return rng.Intn(2)
-	}
 	pickDegree := func() int {
 		if g.FixedDegree > 0 {
 			return g.FixedDegree
 		}
 		return 1 + rng.Intn(6)
-	}
-	pickNode := func() int {
-		if g.FixedFaultyNode != nil {
-			return *g.FixedFaultyNode
-		}
-		return rng.Intn(g.N)
 	}
 
 	switch s.Kind {
@@ -285,10 +258,10 @@ func GenScenario(g GenParams, campaignSeed int64, index uint64) *Scenario {
 
 	case ScenFaultyNode:
 		s.HubDelay[1] = rng.Intn(g.DeltaInit)
-		s.FaultyNodes = []NodeFaultSpec{{ID: pickNode(), Degree: pickDegree(), Seed: rng.Int63()}}
+		s.FaultyNodes = []NodeFaultSpec{{ID: rng.Intn(g.N), Degree: pickDegree(), Seed: rng.Int63()}}
 
 	case ScenFaultyHub:
-		ch := pickHub()
+		ch := rng.Intn(2)
 		s.FaultyHub = ch
 		s.HubDelay[ch] = rng.Intn(g.DeltaInit)
 		s.HubSeed = rng.Int63()
@@ -321,11 +294,11 @@ func GenScenario(g GenParams, campaignSeed int64, index uint64) *Scenario {
 		}
 
 	case ScenNodeAndHub:
-		ch := pickHub()
+		ch := rng.Intn(2)
 		s.FaultyHub = ch
 		s.HubDelay[ch] = rng.Intn(g.DeltaInit)
 		s.HubSeed = rng.Int63()
-		s.FaultyNodes = []NodeFaultSpec{{ID: pickNode(), Degree: pickDegree(), Seed: rng.Int63()}}
+		s.FaultyNodes = []NodeFaultSpec{{ID: rng.Intn(g.N), Degree: pickDegree(), Seed: rng.Int63()}}
 	}
 	return s
 }

@@ -1,11 +1,8 @@
 package sim
 
 import (
-	"context"
 	"reflect"
 	"testing"
-
-	"ttastartup/internal/obs"
 )
 
 // TestDeriveSeed pins the derivation's basic properties: determinism and
@@ -197,30 +194,5 @@ func TestConfigValidateFaults(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base config invalid: %v", err)
-	}
-}
-
-// TestRunCampaignCtx covers cancellation and the obs counters of the legacy
-// wrapper.
-func TestRunCampaignCtx(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := RunCampaignCtx(ctx, CampaignConfig{N: 4, Runs: 100, Seed: 7, FaultyNode: -1, FaultyHub: -1}, obs.Scope{}); err == nil {
-		t.Fatal("cancelled campaign returned no error")
-	}
-
-	scope := obs.Scope{Reg: obs.NewRegistry()}
-	res, err := RunCampaignCtx(context.Background(), CampaignConfig{N: 4, Runs: 50, Seed: 7, FaultyNode: -1, FaultyHub: -1}, scope)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Synchronized != 50 {
-		t.Fatalf("fault-free campaign: %d/50 synchronized", res.Synchronized)
-	}
-	if got := scope.Reg.Counter(obs.MSimRuns).Value(); got != 50 {
-		t.Fatalf("sim.runs = %d, want 50", got)
-	}
-	if scope.Reg.Counter(obs.MSimSlots).Value() == 0 {
-		t.Fatal("sim.slots not published")
 	}
 }

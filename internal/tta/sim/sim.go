@@ -279,9 +279,6 @@ type Cluster struct {
 
 	startupTime int
 	frozen      bool
-
-	// Log receives one line per slot when non-nil.
-	Log func(string)
 }
 
 // New builds a cluster simulation.
@@ -465,10 +462,6 @@ func (c *Cluster) Step() {
 
 	// 4. Startup-time observer.
 	c.observeClock()
-
-	if c.Log != nil {
-		c.Log(c.Describe())
-	}
 }
 
 // Run advances until all correct nodes are active or maxSlots elapse; it

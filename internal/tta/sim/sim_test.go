@@ -152,55 +152,6 @@ func TestRandomFaultyHubAgreement(t *testing.T) {
 	}
 }
 
-func TestCampaignFaultFree(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{N: 4, Runs: 200, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Synchronized != res.Runs {
-		t.Errorf("fault-free campaign: only %d/%d synchronized", res.Synchronized, res.Runs)
-	}
-	if res.AgreementOK != res.Runs {
-		t.Errorf("fault-free campaign: agreement failures")
-	}
-	if res.WorstStartup > 7*4-5 {
-		t.Errorf("measured startup %d exceeds the paper's w_sup bound", res.WorstStartup)
-	}
-}
-
-func TestCampaignFaultyNode(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
-		N: 4, Runs: 300, Seed: 11, FaultyNode: 1, FaultDegree: 6,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AgreementOK != res.Runs {
-		t.Errorf("faulty-node campaign: %d agreement failures", res.Runs-res.AgreementOK)
-	}
-	if res.Synchronized < res.Runs*9/10 {
-		t.Errorf("faulty-node campaign: only %d/%d synchronized", res.Synchronized, res.Runs)
-	}
-	if res.WorstStartup > 7*4-5 {
-		t.Errorf("measured startup %d exceeds the paper's w_sup bound %d", res.WorstStartup, 7*4-5)
-	}
-}
-
-func TestCampaignFaultyHub(t *testing.T) {
-	res, err := RunCampaign(CampaignConfig{
-		N: 4, Runs: 300, Seed: 13, FaultyHub: 0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.AgreementOK != res.Runs {
-		t.Errorf("faulty-hub campaign: %d agreement failures", res.Runs-res.AgreementOK)
-	}
-	if res.Synchronized < res.Runs*9/10 {
-		t.Errorf("faulty-hub campaign: only %d/%d synchronized", res.Synchronized, res.Runs)
-	}
-}
-
 func TestDescribe(t *testing.T) {
 	cfg := DefaultConfig(3)
 	cfg.FaultyNode = 1
