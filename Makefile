@@ -124,29 +124,31 @@ served-smoke:
 	sh scripts/served_smoke.sh $(SERVED_SMOKE_DIR)
 	@rm -rf $(SERVED_SMOKE_DIR)
 
-# Bench regression gate: re-run the quick serve and l2s benchmarks and
-# diff each leaf-by-leaf against its committed BENCH_*.json. The l2s leg
-# gates more than wall time: the experiment itself errors out if any SAT
-# engine's liveness verdict disagrees with the symbolic fixpoint or a
-# refutation lacks a lasso, so a compare run doubles as a cross-engine
-# agreement check. The tolerance is generous because wall times on shared
-# machines are noisy; CI runs this report-only
+# Bench regression gate: re-run the quick serve, l2s, opt and order
+# benchmarks and diff each leaf-by-leaf against its committed
+# BENCH_*.json. The l2s, opt and order legs gate more than wall time: the
+# experiments themselves error out if any SAT engine's liveness verdict
+# disagrees with the symbolic fixpoint, a refutation lacks a lasso, or the
+# optimizer or reordering changes a verdict, so a compare run doubles as a
+# cross-engine agreement check. The tolerance is generous because wall
+# times on shared machines are noisy; CI runs this report-only
 # (BENCH_COMPARE_FLAGS=-report-only) and humans tighten BENCH_COMPARE_TOL
 # when chasing a suspected regression.
 BENCH_COMPARE_TOL ?= 0.5
 BENCH_COMPARE_FLAGS ?=
-BENCH_COMPARE_OUT := .bench-compare.json
+BENCH_COMPARE_DIR := .bench-compare
 .PHONY: bench-compare
 bench-compare:
-	@rm -f $(BENCH_COMPARE_OUT)
-	$(GO) run ./cmd/ttabench -exp serve -serve-out $(BENCH_COMPARE_OUT) >/dev/null
-	$(GO) run ./cmd/ttabench -compare -tolerance $(BENCH_COMPARE_TOL) \
-		$(BENCH_COMPARE_FLAGS) BENCH_serve.json $(BENCH_COMPARE_OUT)
-	@rm -f $(BENCH_COMPARE_OUT)
-	$(GO) run ./cmd/ttabench -exp l2s -l2s-out $(BENCH_COMPARE_OUT) >/dev/null
-	$(GO) run ./cmd/ttabench -compare -tolerance $(BENCH_COMPARE_TOL) \
-		$(BENCH_COMPARE_FLAGS) BENCH_l2s.json $(BENCH_COMPARE_OUT)
-	@rm -f $(BENCH_COMPARE_OUT)
+	@rm -rf $(BENCH_COMPARE_DIR); mkdir -p $(BENCH_COMPARE_DIR)
+	$(GO) run ./cmd/ttabench -exp serve -bench-dir $(BENCH_COMPARE_DIR) >/dev/null
+	$(GO) run ./cmd/ttabench -exp l2s -bench-dir $(BENCH_COMPARE_DIR) >/dev/null
+	$(GO) run ./cmd/ttabench -exp opt -n 4 -bench-dir $(BENCH_COMPARE_DIR) >/dev/null
+	$(GO) run ./cmd/ttabench -exp order -bench-dir $(BENCH_COMPARE_DIR) >/dev/null
+	@for exp in serve l2s opt order; do \
+		$(GO) run ./cmd/ttabench -compare -tolerance $(BENCH_COMPARE_TOL) \
+			$(BENCH_COMPARE_FLAGS) BENCH_$$exp.json $(BENCH_COMPARE_DIR)/BENCH_$$exp.json || exit 1; \
+	done
+	@rm -rf $(BENCH_COMPARE_DIR)
 
 # Observability smoke test: record a Chrome trace of an unbounded IC3 proof
 # on the bus model, then validate it with ttatrace — the trace must parse,

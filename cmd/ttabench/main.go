@@ -8,6 +8,8 @@
 //	ttabench -exp fig4 -j 1           uncontended per-job timings
 //	ttabench -exp fig6a -json         campaign-store records on stdout,
 //	                                  metrics registry in BENCH_obs.json
+//	ttabench -exp opt -n 4 -bench-dir /tmp
+//	                                  table, and BENCH_opt.json in /tmp
 //	ttabench -compare old.json new.json
 //	                                  bench regression gate: diff two
 //	                                  benchmark JSON files, exit non-zero
@@ -22,7 +24,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -51,11 +55,7 @@ func run() error {
 		workers  = flag.Int("j", 0, "worker pool size for the sweep, campaign, and sim experiments (0: GOMAXPROCS; 1 gives uncontended timings)")
 		jsonOut  = flag.Bool("json", false, "emit campaign-store JSONL records instead of tables (fig4, fig6a-d only)")
 		obsOut   = flag.String("obs-out", "", "write the final metrics registry as JSON to this file (default BENCH_obs.json with -json, off otherwise)")
-		orderOut = flag.String("order-out", "BENCH_order.json", "write the order experiment's rows as JSON to this file (empty: table only)")
-		optOut   = flag.String("opt-out", "BENCH_opt.json", "write the opt experiment's rows as JSON to this file (empty: table only)")
-		l2sOut   = flag.String("l2s-out", "BENCH_l2s.json", "write the l2s experiment's rows as JSON to this file (empty: table only)")
-		simOut   = flag.String("sim-out", "BENCH_sim.json", "write the sim experiment's report as JSON to this file (empty: table only)")
-		serveOut = flag.String("serve-out", "BENCH_serve.json", "write the serve experiment's report as JSON to this file (empty: table only)")
+		benchDir = flag.String("bench-dir", ".", "write BENCH_<exp>.json for the opt, order, l2s, sim and serve experiments into this directory (empty: tables only)")
 
 		// bench regression gate
 		compare    = flag.Bool("compare", false, "compare two benchmark JSON files (old new); exit non-zero on regression")
@@ -129,6 +129,8 @@ func run() error {
 				return fmt.Errorf("-json supports the sweep experiments fig4, fig6a-d, and ic3, not %q", name)
 			}
 		}
+		// bench, when set, writes the experiment's BENCH_<name>.json.
+		var bench func(io.Writer) error
 		switch name {
 		case "fig3":
 			fmt.Println(exp.Fig3())
@@ -262,16 +264,7 @@ func run() error {
 				return err
 			}
 			fmt.Println(table)
-			if *orderOut != "" {
-				f, err := os.Create(*orderOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := exp.WriteOrderReport(f, scale, n, rows); err != nil {
-					return err
-				}
-			}
+			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
 		case "opt":
 			n := 3
 			if scale == exp.Full {
@@ -285,16 +278,7 @@ func run() error {
 				return err
 			}
 			fmt.Println(table)
-			if *optOut != "" {
-				f, err := os.Create(*optOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := exp.WriteOptReport(f, scale, n, rows); err != nil {
-					return err
-				}
-			}
+			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
 		case "l2s":
 			n := 3
 			if len(ns) == 1 {
@@ -305,32 +289,14 @@ func run() error {
 				return err
 			}
 			fmt.Println(table)
-			if *l2sOut != "" {
-				f, err := os.Create(*l2sOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := exp.WriteL2SReport(f, scale, n, rows); err != nil {
-					return err
-				}
-			}
+			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
 		case "sim":
 			rep, table, err := exp.SimFuzz(context.Background(), scale, *workers)
 			if err != nil {
 				return err
 			}
 			fmt.Println(table)
-			if *simOut != "" {
-				f, err := os.Create(*simOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := exp.WriteSimReport(f, rep); err != nil {
-					return err
-				}
-			}
+			bench = func(w io.Writer) error { return exp.WriteSimReport(w, rep) }
 		case "serve":
 			exe, err := os.Executable()
 			if err != nil {
@@ -341,20 +307,22 @@ func run() error {
 				return err
 			}
 			fmt.Println(table)
-			if *serveOut != "" {
-				f, err := os.Create(*serveOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := exp.WriteServeReport(f, rep); err != nil {
-					return err
-				}
-			}
+			bench = func(w io.Writer) error { return exp.WriteServeReport(w, rep) }
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
-		return nil
+		if bench == nil || *benchDir == "" {
+			return nil
+		}
+		f, err := os.Create(filepath.Join(*benchDir, "BENCH_"+name+".json"))
+		if err != nil {
+			return err
+		}
+		if err := bench(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
 	}
 
 	// timedRun records per-experiment wall time into the obs registry so

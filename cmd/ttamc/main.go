@@ -39,48 +39,51 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ttamc:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+func run(args []string) (err error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		n          = flag.Int("n", 3, "cluster size (number of nodes)")
-		faultyNode = flag.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
-		faultyHub  = flag.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none)")
-		degree     = flag.Int("degree", 6, "fault degree δ_failure (1..6, Fig. 3)")
-		deltaInit  = flag.Int("delta-init", 0, "power-on window in slots (0: the paper's 8·round)")
-		noFeedback = flag.Bool("no-feedback", false, "disable the feedback state-space reduction")
-		noBigBang  = flag.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
-		noILinks   = flag.Bool("no-interlinks", false, "sever the guardian interlinks (the conclusion's future-work variant)")
-		noCSPrio   = flag.Bool("no-cs-priority", false, "ablation: drop valid-cs preference in guardian arbitration")
-		noCSWin    = flag.Bool("no-cs-window", false, "ablation: drop the nodes' cold-start acceptance window")
-		noWatchdog = flag.Bool("no-watchdog", false, "ablation: drop the guardians' ACTIVE silence watchdog")
-		dumpModel  = flag.Bool("dump-model", false, "print the model in guarded-command (SAL-like) form and exit")
-		lemmas     = flag.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity")
-		engine     = flag.String("engine", "symbolic", "engine: symbolic, explicit, bmc, induction, ic3")
-		depth      = flag.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
-		bound      = flag.Int("bound", 0, "timeliness bound in slots (0: w_sup + round)")
-		cex        = flag.Bool("cex", false, "print counterexample traces")
-		wcsup      = flag.Bool("wcsup", false, "explore the worst-case startup time (Section 5.3)")
-		recovery   = flag.Bool("recovery", false, "check the CTL recovery property AG(AF all-active)")
-		restart    = flag.Bool("restartable", false, "allow one transient restart per correct node (the Section 2.1 restart problem)")
-		count      = flag.Bool("count", false, "report the exact reachable-state count")
-		timeout    = flag.Duration("timeout", 0, "per-lemma budget; exceeding it reports INCONCLUSIVE (deadline) (0: none)")
-		nodeLimit  = flag.Int("bdd-nodes", 0, "BDD node limit (0: default)")
-		reorder    = flag.Bool("reorder", false, "enable dynamic BDD variable reordering (pair-grouped sifting) in the symbolic engine")
-		optimize   = flag.Bool("opt", false, "run the static model-optimization pipeline (COI slicing, constant propagation, range narrowing) before checking; counterexamples are inflated back to the full model")
-		lintMode   = flag.String("lint", "on", "static analysis gate: on (refuse error-level diagnostics), warn (also print warnings), off")
-		model      = flag.String("model", "hub", "topology: hub (star, central guardians) or bus (the paper's original design)")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file here (view in chrome://tracing or Perfetto)")
-		spanlog    = flag.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics    = flag.Bool("metrics", false, "dump the metrics registry after the run")
-		pprofAddr  = flag.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
-		heartbeat  = flag.Duration("heartbeat", 0, "print a one-line progress summary at this interval (0: off)")
+		n          = fs.Int("n", 3, "cluster size (number of nodes)")
+		faultyNode = fs.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
+		faultyHub  = fs.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none)")
+		degree     = fs.Int("degree", 6, "fault degree δ_failure (1..6, Fig. 3)")
+		deltaInit  = fs.Int("delta-init", 0, "power-on window in slots (0: the paper's 8·round)")
+		noFeedback = fs.Bool("no-feedback", false, "disable the feedback state-space reduction")
+		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
+		noILinks   = fs.Bool("no-interlinks", false, "sever the guardian interlinks (the conclusion's future-work variant)")
+		noCSPrio   = fs.Bool("no-cs-priority", false, "ablation: drop valid-cs preference in guardian arbitration")
+		noCSWin    = fs.Bool("no-cs-window", false, "ablation: drop the nodes' cold-start acceptance window")
+		noWatchdog = fs.Bool("no-watchdog", false, "ablation: drop the guardians' ACTIVE silence watchdog")
+		dumpModel  = fs.Bool("dump-model", false, "print the model in guarded-command (SAL-like) form and exit")
+		lemmas     = fs.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity")
+		engine     = fs.String("engine", "symbolic", "engine: symbolic, explicit, bmc, induction, ic3")
+		depth      = fs.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
+		bound      = fs.Int("bound", 0, "timeliness bound in slots (0: w_sup + round)")
+		cex        = fs.Bool("cex", false, "print counterexample traces")
+		wcsup      = fs.Bool("wcsup", false, "explore the worst-case startup time (Section 5.3)")
+		recovery   = fs.Bool("recovery", false, "check the CTL recovery property AG(AF all-active)")
+		restart    = fs.Bool("restartable", false, "allow one transient restart per correct node (the Section 2.1 restart problem)")
+		count      = fs.Bool("count", false, "report the exact reachable-state count")
+		timeout    = fs.Duration("timeout", 0, "per-lemma budget; exceeding it reports INCONCLUSIVE (deadline) (0: none)")
+		nodeLimit  = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
+		reorder    = fs.Bool("reorder", false, "enable dynamic BDD variable reordering (pair-grouped sifting) in the symbolic engine")
+		optimize   = fs.Bool("opt", false, "run the static model-optimization pipeline (COI slicing, constant propagation, range narrowing) before checking; counterexamples are inflated back to the full model")
+		lintMode   = fs.String("lint", "on", "static analysis gate: on (refuse error-level diagnostics), warn (also print warnings), off")
+		model      = fs.String("model", "hub", "topology: hub (star, central guardians) or bus (the paper's original design)")
+		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON file here (view in chrome://tracing or Perfetto)")
+		spanlog    = fs.String("spanlog", "", "append one JSON line per finished span to this file")
+		metrics    = fs.Bool("metrics", false, "dump the metrics registry after the run")
+		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
+		heartbeat  = fs.Duration("heartbeat", 0, "print a one-line progress summary at this interval (0: off)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	scope, obsDone, err := obs.Setup(obs.SetupOptions{
 		TracePath: *tracePath,
@@ -102,7 +105,7 @@ func run() (err error) {
 		// The bus model has exactly the paper's two properties and fault
 		// degrees 1..3; keep the hub defaults only when set explicitly.
 		lemmaSet, degSet := false, false
-		flag.Visit(func(f *flag.Flag) {
+		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "lemma":
 				lemmaSet = true
@@ -215,21 +218,36 @@ func run() (err error) {
 		return err
 	}
 
+	return checkLemmas(list, eng, *timeout, *cex,
+		func(ctx context.Context, l core.Lemma) (*mc.Result, error) { return suite.CheckCtx(ctx, l, eng) },
+		func(t *mc.Trace) {
+			fmt.Println("counterexample timeline:")
+			fmt.Print(suite.Model.FormatTimeline(t))
+			fmt.Println("\nvariable-level trace:")
+			fmt.Println(t.Format(suite.Model.Sys))
+		})
+}
+
+// checkLemmas checks each lemma under the per-lemma budget, printing its
+// verdict and, with cex, its counterexample through printCex. It fails
+// when a lemma is violated or its budget runs out (no verdict either way).
+func checkLemmas(list []core.Lemma, eng core.Engine, timeout time.Duration, cex bool,
+	check func(context.Context, core.Lemma) (*mc.Result, error), printCex func(*mc.Trace)) error {
 	failed := 0
 	inconclusive := 0
 	for _, l := range list {
 		ctx := context.Background()
 		var cancel context.CancelFunc
-		if *timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
+		if timeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, timeout)
 		}
-		res, err := suite.CheckCtx(ctx, l, eng)
+		res, err := check(ctx, l)
 		if cancel != nil {
 			cancel()
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
 			// The engine was interrupted mid-search: no verdict either way.
-			fmt.Printf("%-14s [%s] INCONCLUSIVE (deadline)  budget=%v\n", l, eng, *timeout)
+			fmt.Printf("%-14s [%s] INCONCLUSIVE (deadline)  budget=%v\n", l, eng, timeout)
 			inconclusive++
 			continue
 		}
@@ -239,11 +257,8 @@ func run() (err error) {
 		printResult(res)
 		if !res.Holds() {
 			failed++
-			if *cex && res.Trace != nil {
-				fmt.Println("counterexample timeline:")
-				fmt.Print(suite.Model.FormatTimeline(res.Trace))
-				fmt.Println("\nvariable-level trace:")
-				fmt.Println(res.Trace.Format(suite.Model.Sys))
+			if cex && res.Trace != nil {
+				printCex(res.Trace)
 			}
 		}
 	}
@@ -258,7 +273,7 @@ func run() (err error) {
 			}
 		}
 		hint = strings.TrimSuffix(hint, " or")
-		return fmt.Errorf("%d lemma(s) inconclusive: deadline %v exceeded (%s)", inconclusive, *timeout, hint)
+		return fmt.Errorf("%d lemma(s) inconclusive: deadline %v exceeded (%s)", inconclusive, timeout, hint)
 	}
 	return nil
 }
@@ -372,44 +387,18 @@ func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engin
 		opts.BMCDepth = 2 * (tta.Params{N: n}).WorstCaseStartup()
 	}
 
-	failed := 0
-	for _, l := range list {
-		var prop mc.Property
-		switch l {
-		case core.LemmaSafety:
-			prop = m.Safety()
-		case core.LemmaLiveness:
-			prop = m.Liveness()
-		default:
-			return fmt.Errorf("bus model has no lemma %v (want safety or liveness)", l)
-		}
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		res, err := core.Check(ctx, m.Sys, prop, eng, opts)
-		if cancel != nil {
-			cancel()
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			fmt.Printf("%-14s [%s] INCONCLUSIVE (deadline)  budget=%v\n", l, eng, timeout)
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("%v: %w", l, err)
-		}
-		printResult(res)
-		if !res.Holds() {
-			failed++
-			if cex && res.Trace != nil {
-				fmt.Println("counterexample trace:")
-				fmt.Println(res.Trace.Format(m.Sys))
+	return checkLemmas(list, eng, timeout, cex,
+		func(ctx context.Context, l core.Lemma) (*mc.Result, error) {
+			switch l {
+			case core.LemmaSafety:
+				return core.Check(ctx, m.Sys, m.Safety(), eng, opts)
+			case core.LemmaLiveness:
+				return core.Check(ctx, m.Sys, m.Liveness(), eng, opts)
 			}
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d lemma(s) violated", failed)
-	}
-	return nil
+			return nil, fmt.Errorf("bus model has no lemma %v (want safety or liveness)", l)
+		},
+		func(t *mc.Trace) {
+			fmt.Println("counterexample trace:")
+			fmt.Println(t.Format(m.Sys))
+		})
 }

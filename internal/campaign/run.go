@@ -220,7 +220,7 @@ func runJob(ctx context.Context, job Job, opts RunOptions) (Record, error) {
 		jctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
-	res, sys, err := checkJob(jctx, job, job.Engine, opts)
+	res, sys, err := CheckJob(jctx, job, opts.Options)
 	rec := Record{Job: job}
 	if Transitioned(job) {
 		rec.Transition = TransitionSkippedExecuted
@@ -241,7 +241,9 @@ func runJob(ctx context.Context, job Job, opts RunOptions) (Record, error) {
 			if opts.Timeout > 0 {
 				fctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 			}
-			fres, fsys, ferr := checkJob(fctx, job, "bmc", opts)
+			fjob := job
+			fjob.Engine = "bmc"
+			fres, fsys, ferr := CheckJob(fctx, fjob, opts.Options)
 			if cancel != nil {
 				cancel()
 			}
@@ -314,17 +316,25 @@ func traceDigest(sys *gcl.System, t *mc.Trace) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// checkJob runs one check with the named engine, constructing a private
-// suite/model so concurrent jobs share nothing.
-func checkJob(ctx context.Context, job Job, engine string, opts RunOptions) (*mc.Result, *gcl.System, error) {
-	switch job.Topology {
-	case TopologyHub:
-		return checkHub(ctx, job, engine, opts)
-	case TopologyBus:
-		return checkBus(ctx, job, engine, opts)
-	default:
-		return nil, nil, fmt.Errorf("campaign: unknown topology %q", job.Topology)
+// CheckJob checks one job on a private model, so concurrent jobs share
+// nothing: JobModel, then core.Check with opts (BMCDepth defaults to the
+// model's 2·w_sup). It returns the result and the checked source system.
+func CheckJob(ctx context.Context, job Job, opts core.Options) (*mc.Result, *gcl.System, error) {
+	eng, err := core.ParseEngine(job.Engine)
+	if err != nil {
+		return nil, nil, err
 	}
+	sys, prop, depth, err := JobModel(job, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opts.BMCDepth == 0 {
+		opts.BMCDepth = depth
+	}
+	// With -opt the trace (and its digest) come back inflated to full
+	// source-model states, so records stay comparable across opt settings.
+	res, err := core.Check(ctx, sys, prop, eng, opts)
+	return res, sys, err
 }
 
 // HubConfig maps a hub-topology job onto its model configuration.
@@ -356,77 +366,51 @@ func BusConfig(job Job) original.Config {
 	return cfg
 }
 
-// JobModelDigest builds the job's model — without checking anything — and
-// returns the canonical content address of its finalized system
-// (gcl.System.Digest). The verification service computes it at submission
-// time to probe the verdict cache before scheduling a single job.
-func JobModelDigest(job Job) (string, error) {
+// JobModel builds a job's model without checking anything: the finalized
+// system, the lemma's property on it, and the SAT engines' default depth
+// 2·w_sup (what a Suite gives an unset Options.BMCDepth). Hub-topology
+// lemmas resolve through core.Suite.Property, so opts.TimelinessBound
+// applies to the timeliness lemmas; the bus topology defines safety and
+// liveness only.
+func JobModel(job Job, opts core.Options) (*gcl.System, mc.Property, int, error) {
+	depth := 2 * (tta.Params{N: job.N}).WorstCaseStartup()
 	switch job.Topology {
 	case TopologyHub:
-		model, err := startup.Build(HubConfig(job))
-		if err != nil {
-			return "", err
+		lemmas, err := core.ParseLemmas(job.Lemma)
+		if err != nil || len(lemmas) != 1 {
+			return nil, mc.Property{}, 0, fmt.Errorf("campaign: bad lemma %q", job.Lemma)
 		}
-		return model.Sys.Digest(), nil
+		suite, err := core.NewSuite(HubConfig(job), opts)
+		if err != nil {
+			return nil, mc.Property{}, 0, err
+		}
+		prop, err := suite.Property(lemmas[0])
+		return suite.Model.Sys, prop, depth, err
 	case TopologyBus:
 		m, err := original.Build(BusConfig(job))
 		if err != nil {
-			return "", err
+			return nil, mc.Property{}, 0, err
 		}
-		return m.Sys.Digest(), nil
+		switch job.Lemma {
+		case "safety":
+			return m.Sys, m.Safety(), depth, nil
+		case "liveness":
+			return m.Sys, m.Liveness(), depth, nil
+		}
+		return nil, mc.Property{}, 0, fmt.Errorf("campaign: bus topology has no lemma %q", job.Lemma)
 	default:
-		return "", fmt.Errorf("campaign: unknown topology %q", job.Topology)
+		return nil, mc.Property{}, 0, fmt.Errorf("campaign: unknown topology %q", job.Topology)
 	}
 }
 
-func checkHub(ctx context.Context, job Job, engine string, opts RunOptions) (*mc.Result, *gcl.System, error) {
-	cfg := HubConfig(job)
-	lemmas, err := core.ParseLemmas(job.Lemma)
-	if err != nil || len(lemmas) != 1 {
-		return nil, nil, fmt.Errorf("campaign: bad lemma %q", job.Lemma)
-	}
-	eng, err := core.ParseEngine(engine)
+// JobModelDigest returns the canonical content address of the job's
+// finalized system (gcl.System.Digest). The verification service computes
+// it at submission time to probe the verdict cache before scheduling a
+// single job.
+func JobModelDigest(job Job) (string, error) {
+	sys, _, _, err := JobModel(job, core.Options{})
 	if err != nil {
-		return nil, nil, err
+		return "", err
 	}
-	suite, err := core.NewSuite(cfg, opts.Options)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := suite.CheckCtx(ctx, lemmas[0], eng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, suite.Model.Sys, nil
-}
-
-func checkBus(ctx context.Context, job Job, engine string, opts RunOptions) (*mc.Result, *gcl.System, error) {
-	eng, err := core.ParseEngine(engine)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := original.Build(BusConfig(job))
-	if err != nil {
-		return nil, nil, err
-	}
-	var prop mc.Property
-	switch job.Lemma {
-	case "safety":
-		prop = m.Safety()
-	case "liveness":
-		prop = m.Liveness()
-	default:
-		return nil, nil, fmt.Errorf("campaign: bus topology has no lemma %q", job.Lemma)
-	}
-	o := opts.Options
-	if o.BMCDepth == 0 {
-		o.BMCDepth = 2 * (tta.Params{N: job.N}).WorstCaseStartup()
-	}
-	// With -opt the trace (and its digest) come back inflated to full
-	// bus-model states, so records stay comparable across opt settings.
-	res, err := core.Check(ctx, m.Sys, prop, eng, o)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m.Sys, nil
+	return sys.Digest(), nil
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"ttastartup/internal/campaign"
@@ -17,23 +16,6 @@ import (
 // lemma fails (both refute with a counterexample trace). It routes through
 // the campaign runner, so -json emits the same record schema as the
 // ttacampaign store.
-
-// IC3Row pairs one configuration+lemma with both engines' measurements.
-type IC3Row struct {
-	Desc      string // human-readable configuration
-	Lemma     string
-	IC3       IC3Cell
-	Induction IC3Cell
-}
-
-// IC3Cell is one engine's outcome on one row.
-type IC3Cell struct {
-	Verdict string
-	Wall    time.Duration
-	Queries int // SAT queries issued
-	Depth   int // IC3: frames; induction: k
-	CexLen  int // counterexample length (refutations)
-}
 
 // ic3Pairs expands the comparison sweep in table order; each pair is run
 // once per engine. The bus topology carries the proving rows (its state
@@ -73,9 +55,9 @@ func ic3Pairs(scale Scale, ns []int) []campaign.Job {
 }
 
 // IC3Compare runs the IC3-vs-induction sweep on a campaign worker pool and
-// returns the paired rows, the raw campaign records (in job order, one per
-// engine run), and the rendered table.
-func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progress campaign.Progress) ([]IC3Row, []campaign.Record, string, error) {
+// returns one row per engine run, the raw campaign records (in job order),
+// and the rendered table.
+func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progress campaign.Progress) ([]Row, []campaign.Record, string, error) {
 	pairs := ic3Pairs(scale, ns)
 	var jobs []campaign.Job
 	for _, p := range pairs {
@@ -94,9 +76,9 @@ func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progres
 		return nil, nil, "", err
 	}
 
-	var rows []IC3Row
+	var rows []Row
 	var recs []campaign.Record
-	for i, job := range jobs {
+	for _, job := range jobs {
 		rec, ok := rep.Record(job)
 		if !ok {
 			return nil, nil, "", fmt.Errorf("ic3: job %s did not run", job.ID())
@@ -105,52 +87,18 @@ func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progres
 			return nil, nil, "", fmt.Errorf("ic3: %s: %s", job.ID(), rec.Error)
 		}
 		recs = append(recs, rec)
-		cell := IC3Cell{
-			Verdict: rec.Verdict,
-			Wall:    rec.Wall(),
-			Queries: rec.Stats.SATQueries,
-			Depth:   rec.Stats.Iterations,
-			CexLen:  rec.CexLen,
+		label := fmt.Sprintf("bus δ_failure=%d", job.Degree)
+		if job.Topology == campaign.TopologyHub {
+			label = "hub no-big-bang faulty-hub"
 		}
-		if i%2 == 0 {
-			desc := fmt.Sprintf("bus n=%d δ_failure=%d", job.N, job.Degree)
-			if job.Topology == campaign.TopologyHub {
-				desc = fmt.Sprintf("hub n=%d no-big-bang faulty-hub", job.N)
-			}
-			rows = append(rows, IC3Row{Desc: desc, Lemma: job.Lemma})
-		}
-		row := &rows[len(rows)-1]
-		if job.Engine == "ic3" {
-			row.IC3 = cell
-		} else {
-			row.Induction = cell
-		}
+		rows = append(rows, Row{
+			Model: label, N: job.N, Lemma: job.Lemma, Engine: job.Engine,
+			Verdict: rec.Verdict, Holds: rec.Holds, CPUMS: rec.WallMS,
+			Rounds: rec.Stats.Iterations, SATQueries: rec.Stats.SATQueries, CexLen: rec.CexLen,
+		})
 	}
-	return rows, recs, ic3Table(rows, scale), nil
-}
-
-// ic3Table renders the comparison, one line per engine run.
-func ic3Table(rows []IC3Row, scale Scale) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "IC3 vs k-induction — the SAT provers, wall time and SAT queries per lemma (%s scale)\n", scale)
-	b.WriteString("  configuration                 lemma   engine     verdict                  wall      queries  depth\n")
-	line := func(desc, lemma, engine string, c IC3Cell) {
-		depth := fmt.Sprintf("k=%d", c.Depth)
-		if engine == "ic3" {
-			depth = fmt.Sprintf("frames=%d", c.Depth)
-		}
-		extra := ""
-		if c.CexLen > 0 {
-			extra = fmt.Sprintf("  cex=%d", c.CexLen)
-		}
-		fmt.Fprintf(&b, "  %-29s %-7s %-10s %-24s %-9v %-8d %s%s\n",
-			desc, lemma, engine, c.Verdict, c.Wall.Round(time.Millisecond), c.Queries, depth, extra)
-	}
-	for _, r := range rows {
-		line(r.Desc, r.Lemma, "ic3", r.IC3)
-		line("", "", "induction", r.Induction)
-	}
-	b.WriteString("  IC3 proves unboundedly without unrolling (many small queries); k-induction\n")
-	b.WriteString("  unrolls until the lemma is k-inductive; both refute with replayable traces\n")
-	return b.String()
+	return rows, recs, renderTable(fmt.Sprintf("IC3 vs k-induction — the SAT provers, wall time and SAT queries per lemma (%s scale)", scale), rows,
+		"rounds are IC3 frames and induction depth k; cpu is the job's wall time",
+		"IC3 proves unboundedly without unrolling (many small queries); k-induction",
+		"unrolls until the lemma is k-inductive; both refute with replayable traces"), nil
 }

@@ -9,210 +9,81 @@ package exp
 // back as a projected lasso on the source state space.
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"strings"
-	"time"
 
+	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
-	"ttastartup/internal/gcl"
-	"ttastartup/internal/gcl/l2s"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/symbolic"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
 )
 
-// L2SRow is one measurement: one model's liveness lemma checked by one
-// engine (the SAT engines through the l2s product).
-type L2SRow struct {
-	Model   string `json:"model"`
-	N       int    `json:"n"`
-	Engine  string `json:"engine"`
-	Exact   bool   `json:"exact"` // an unbounded verdict is demanded
-	Verdict string `json:"verdict"`
-	Holds   bool   `json:"holds"`
-	CPUMS   int64  `json:"cpu_ms"`
-	// LassoLen and LassoLoop describe the projected counterexample on
-	// refutations (stem+loop length and the back-edge target index).
-	LassoLen  int `json:"lasso_len,omitempty"`
-	LassoLoop int `json:"lasso_loop,omitempty"`
-	// Rounds is the engine's own depth measure: IC3 frames, induction k,
-	// BMC unrolling depth (zero for the fixpoint engine).
-	Rounds int `json:"rounds,omitempty"`
-}
-
-// L2SBenchReport is the JSON document ttabench -exp l2s writes
-// (BENCH_l2s.json). CPU times vary run to run; verdicts and lasso shapes
-// are deterministic.
-type L2SBenchReport struct {
-	Scale string   `json:"scale"`
-	N     int      `json:"n"`
-	Rows  []L2SRow `json:"rows"`
-}
-
 // L2SCompare checks the liveness lemma of four model configurations —
-// bus with a degree-1 and a degree-3 faulty node, the hub with a faulty
-// node, and the no-big-bang hub clique — on symbolic, BMC, k-induction,
-// and IC3, and errors out if any exact engine disagrees with the
-// symbolic verdict, any bounded engine contradicts it, or any
-// refutation lacks a lasso.
-func L2SCompare(scale Scale, n int) ([]L2SRow, string, error) {
-	type modelCase struct {
-		name     string
-		sys      *gcl.System
-		prop     mc.Property
-		indExact bool // simple-path induction closes the product
-		maxK     int
-	}
-
+// bus with a degree-1 and a degree-3 faulty node, the fault-free hub, and
+// the no-big-bang hub clique — on symbolic, BMC, k-induction, and IC3, and
+// errors out if any exact engine disagrees with the symbolic verdict, any
+// bounded engine contradicts it, or any refutation lacks a lasso.
+func L2SCompare(scale Scale, n int) ([]Row, string, error) {
 	// δ_init is pinned to 2 on every configuration: the l2s product
 	// doubles the state bits, and the hub proof already needs ~20 IC3
 	// frames at the narrow window (DESIGN.md).
-	bus := func(deg int) (*original.Model, error) {
-		return original.Build(original.Config{N: n, FaultyNode: 1, FaultDegree: deg, DeltaInit: 2})
+	bus := func(deg int) campaign.Job {
+		return campaign.Job{Topology: campaign.TopologyBus, N: n, FaultyNode: 1, FaultyHub: -1, Degree: deg, DeltaInit: 2, Lemma: "liveness"}
 	}
-	bus1, err := bus(1)
-	if err != nil {
-		return nil, "", err
-	}
-	bus3, err := bus(3)
-	if err != nil {
-		return nil, "", err
-	}
-	hubCfg := startup.DefaultConfig(n)
-	hubCfg.DeltaInit = 2
-	hub, err := startup.Build(hubCfg)
-	if err != nil {
-		return nil, "", err
-	}
-	cliqueCfg := startup.DefaultConfig(n).WithFaultyHub(0)
-	cliqueCfg.DeltaInit = 2
-	cliqueCfg.DisableBigBang = true
-	clique, err := startup.Build(cliqueCfg)
-	if err != nil {
-		return nil, "", err
-	}
-
-	cases := []modelCase{
-		{name: "bus-deg1", sys: bus1.Sys, prop: bus1.Liveness(), indExact: true, maxK: 20},
-		{name: "bus-deg3", sys: bus3.Sys, prop: bus3.Liveness(), indExact: true, maxK: 20},
+	hub := campaign.Job{Topology: campaign.TopologyHub, N: n, BigBang: true, FaultyNode: -1, FaultyHub: -1, DeltaInit: 2, Lemma: "liveness"}
+	clique := campaign.Job{Topology: campaign.TopologyHub, N: n, FaultyNode: -1, FaultyHub: 0, DeltaInit: 2, Lemma: "liveness"}
+	cases := []struct {
+		label    string
+		job      campaign.Job
+		indExact bool // simple-path induction closes the product
+		maxK     int
+	}{
+		{"bus-deg1", bus(1), true, 20},
+		{"bus-deg3", bus(3), true, 20},
 		// Simple-path induction does not close the hub holds-case by k=40
 		// (the product's recurrence diameter is deeper), so its row runs
 		// capped and is gated on non-contradiction only.
-		{name: "hub", sys: hub.Sys, prop: hub.Liveness(), indExact: false, maxK: 10},
-		{name: "hub-clique", sys: clique.Sys, prop: clique.Liveness(), indExact: true, maxK: 20},
+		{"hub", hub, false, 10},
+		{"hub-clique", clique, true, 20},
 	}
 
-	var rows []L2SRow
+	var rows []Row
 	for _, mcase := range cases {
-		var results []*mc.Result
-		for _, e := range []core.Engine{core.EngineSymbolic, core.EngineBMC, core.EngineInduction, core.EngineIC3} {
+		var truth bool
+		for _, engine := range []string{"symbolic", "bmc", "induction", "ic3"} {
 			opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}, BMCDepth: 20, Obs: Obs}
-			check := core.Check
-			if e == core.EngineInduction {
+			if engine == "induction" {
 				opts.BMCDepth = mcase.maxK
-				if !mcase.indExact {
-					check = cappedInduction
-				}
 			}
-			res, err := check(context.Background(), mcase.sys, mcase.prop, e, opts)
+			mcase.job.Engine = engine
+			row, res, err := cell{mcase.label, mcase.job, opts}.run(mRounds)
 			if err != nil {
-				return nil, "", fmt.Errorf("l2s %s %v: %w", mcase.name, e, err)
+				return nil, "", fmt.Errorf("l2s %s: %w", mcase.label, err)
 			}
-			results = append(results, res)
-		}
-		symRes := results[0]
-		truth := symRes.Verdict == mc.Holds
-
-		for i, res := range results {
-			engine := []string{"symbolic", "bmc", "induction", "ic3"}[i]
-			exact := engine == "symbolic" || engine == "ic3" || (engine == "induction" && mcase.indExact)
+			if engine == "symbolic" {
+				truth = res.Verdict == mc.Holds
+			}
 			// BMC is exact for refutations (and may upgrade to an
 			// unbounded proof via the recurrence-diameter fallback), but
 			// a bounded pass is acceptable on the holds rows.
-			if engine == "bmc" {
-				exact = !truth
-			}
-			if exact {
+			row.Exact = engine == "symbolic" || engine == "ic3" || (engine == "induction" && mcase.indExact) ||
+				(engine == "bmc" && !truth)
+			if row.Exact {
 				want := mc.Holds
 				if !truth {
 					want = mc.Violated
 				}
 				if res.Verdict != want {
-					return nil, "", fmt.Errorf("l2s %s: %s verdict %v, symbolic says %v",
-						mcase.name, engine, res.Verdict, symRes.Verdict)
+					return nil, "", fmt.Errorf("l2s %s: %s verdict %v, symbolic says %v", mcase.label, engine, res.Verdict, want)
 				}
 			} else if res.Verdict == mc.Violated && truth {
-				return nil, "", fmt.Errorf("l2s %s: %s refuted a lemma the fixpoint proves", mcase.name, engine)
+				return nil, "", fmt.Errorf("l2s %s: %s refuted a lemma the fixpoint proves", mcase.label, engine)
 			}
-			row := L2SRow{
-				Model: mcase.name, N: n, Engine: engine, Exact: exact,
-				Verdict: res.Verdict.String(), Holds: res.Holds(),
-				CPUMS:  res.Stats.Duration.Milliseconds(),
-				Rounds: res.Stats.Iterations,
-			}
-			if res.Verdict == mc.Violated {
-				if res.Trace == nil || res.Trace.LoopsTo < 0 {
-					return nil, "", fmt.Errorf("l2s %s: %s refutation without a lasso", mcase.name, engine)
-				}
-				row.LassoLen = res.Trace.Len()
-				row.LassoLoop = res.Trace.LoopsTo
+			if res.Verdict == mc.Violated && (res.Trace == nil || res.Trace.LoopsTo < 0) {
+				return nil, "", fmt.Errorf("l2s %s: %s refutation without a lasso", mcase.label, engine)
 			}
 			rows = append(rows, row)
 		}
 	}
-	return rows, l2sTable(rows, scale), nil
-}
-
-// cappedInduction has core.Check's signature but runs plain k-induction on
-// the l2s product of sys, without the simple-path constraint the pipeline
-// adds for eventualities: the capped rows stop at their depth bound either
-// way, and the committed rows were measured without the constraint.
-func cappedInduction(ctx context.Context, sys *gcl.System, prop mc.Property, e core.Engine, opts core.Options) (*mc.Result, error) {
-	prod, err := l2s.Transform(sys, prop.Pred)
-	if err != nil {
-		return nil, err
-	}
-	safe := mc.Property{Name: prop.Name, Kind: mc.Invariant, Pred: prod.Safe}
-	res, err := core.Check(ctx, prod.Sys, safe, e, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Property = prop
-	if res.Verdict == mc.Violated {
-		states, loopsTo, err := prod.ProjectLasso(res.Trace.States)
-		if err != nil {
-			return nil, err
-		}
-		res.Trace = &mc.Trace{States: states, LoopsTo: loopsTo}
-	}
-	return res, nil
-}
-
-func l2sTable(rows []L2SRow, scale Scale) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Liveness-to-safety — SAT engines on AF lemmas via the l2s product (%s scale, δ_init=2)\n", scale)
-	b.WriteString("  model       engine     exact  verdict          cpu        rounds  lasso\n")
-	for _, r := range rows {
-		lasso := "-"
-		if r.LassoLen > 0 {
-			lasso = fmt.Sprintf("len=%d loop=%d", r.LassoLen, r.LassoLoop)
-		}
-		fmt.Fprintf(&b, "  %-10s  %-9s  %-5v  %-15s  %-9v  %6d  %s\n",
-			r.Model, r.Engine, r.Exact, r.Verdict,
-			(time.Duration(r.CPUMS) * time.Millisecond).Round(time.Millisecond),
-			r.Rounds, lasso)
-	}
-	b.WriteString("  every liveness verdict has independent witnesses; refutations replay as concrete lassos\n")
-	return b.String()
-}
-
-// WriteL2SReport writes the rows as the BENCH_l2s.json document.
-func WriteL2SReport(w io.Writer, scale Scale, n int, rows []L2SRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(L2SBenchReport{Scale: scale.String(), N: n, Rows: rows})
+	return rows, renderTable(fmt.Sprintf("Liveness-to-safety — SAT engines on AF lemmas via the l2s product (%s scale, δ_init=2)", scale), rows,
+		"every liveness verdict has independent witnesses; refutations replay as concrete lassos"), nil
 }

@@ -6,19 +6,7 @@ package exp
 // interesting question is how much head-room sifting finds on top of it,
 // and whether it ever changes a verdict (it must not).
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"strings"
-	"time"
-
-	"ttastartup/internal/bdd"
-	"ttastartup/internal/core"
-	"ttastartup/internal/mc/symbolic"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
-)
+import "ttastartup/internal/campaign"
 
 // orderReorderStart is the node-count threshold that arms the first sifting
 // pass in this experiment. It is far below the library default (1<<14 is
@@ -27,142 +15,31 @@ import (
 // nodes but crosses 4k within the first iterations.
 const orderReorderStart = 4096
 
-// OrderRow is one measurement of the ordering experiment: one model
-// checked by the symbolic engine with dynamic reordering off or on.
-type OrderRow struct {
-	Model     string `json:"model"` // "hub" or "bus"
-	N         int    `json:"n"`
-	Lemma     string `json:"lemma"`
-	Reorder   bool   `json:"reorder"`
-	Verdict   string `json:"verdict"`
-	Holds     bool   `json:"holds"`
-	CPUMS     int64  `json:"cpu_ms"`
-	PeakNodes int    `json:"peak_nodes"`
-	Reorders  int    `json:"reorders"` // sifting passes run (0 when off)
-}
-
-// OrderReport is the JSON document ttabench -exp order writes
-// (BENCH_order.json). CPU times vary run to run; verdicts, peak-node
-// counts and reorder-pass counts are deterministic.
-type OrderReport struct {
-	Scale string     `json:"scale"`
-	N     int        `json:"n"`
-	Rows  []OrderRow `json:"rows"`
-}
-
-func orderBDD(scale Scale, reorder bool) bdd.Config {
-	cfg := scale.bddConfig()
-	if reorder {
-		cfg.AutoReorder = true
-		cfg.ReorderStart = orderReorderStart
-	}
-	return cfg
-}
-
 // OrderCompare runs the hub safety check and the bus safety check with
 // dynamic variable reordering off and on, and reports wall time, peak live
 // BDD nodes and the number of sifting passes. It errors out if the two
-// variants ever disagree on a verdict — reordering is a performance
-// transformation and must be invisible to the logic.
-func OrderCompare(scale Scale, n int) ([]OrderRow, string, error) {
-	rows := make([]OrderRow, 0, 4)
-	for _, on := range []bool{false, true} {
-		row, err := orderHub(scale, n, on)
-		if err != nil {
-			return nil, "", err
-		}
-		rows = append(rows, row)
-	}
-	for _, on := range []bool{false, true} {
-		row, err := orderBus(scale, n, on)
-		if err != nil {
-			return nil, "", err
-		}
-		rows = append(rows, row)
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		off, on := rows[i], rows[i+1]
-		if off.Verdict != on.Verdict || off.Holds != on.Holds {
-			return nil, "", fmt.Errorf("order: reordering changed the %s verdict: %q vs %q",
-				off.Model, off.Verdict, on.Verdict)
+// variants ever disagree on a verdict.
+func OrderCompare(scale Scale, n int) ([]Row, string, error) {
+	hub, bus := hubAndBus(scale, n)
+	var rows []Row
+	for _, job := range []campaign.Job{hub, bus} {
+		job.Lemma = "safety"
+		for _, on := range []bool{false, true} {
+			opts := scale.options()
+			if on {
+				opts.Symbolic.BDD.AutoReorder = true
+				opts.Symbolic.BDD.ReorderStart = orderReorderStart
+			}
+			row, _, err := cell{job.Topology, job, opts}.run(mPeak)
+			if err != nil {
+				return nil, "", err
+			}
+			rows = append(rows, row)
 		}
 	}
-	return rows, orderTable(rows, scale), nil
-}
-
-func orderHub(scale Scale, n int, reorder bool) (OrderRow, error) {
-	cfg := startup.DefaultConfig(n).WithFaultyNode(n / 2)
-	cfg.DeltaInit = scale.deltaInit(cfg.N)
-	s, err := core.NewSuite(cfg, core.Options{
-		Symbolic: symbolic.Options{BDD: orderBDD(scale, reorder), NoTrace: true},
-		Obs:      Obs,
-	})
+	notes, err := offOn(rows, "reordering")
 	if err != nil {
-		return OrderRow{}, err
+		return nil, "", err
 	}
-	res, err := s.Check(core.LemmaSafety, core.EngineSymbolic)
-	if err != nil {
-		return OrderRow{}, fmt.Errorf("order hub n=%d reorder=%v: %w", n, reorder, err)
-	}
-	return OrderRow{
-		Model: "hub", N: n, Lemma: "safety", Reorder: reorder,
-		Verdict: res.Verdict.String(), Holds: res.Holds(),
-		CPUMS:     res.Stats.Duration.Milliseconds(),
-		PeakNodes: res.Stats.PeakNodes,
-		Reorders:  res.Stats.Reorders,
-	}, nil
-}
-
-func orderBus(scale Scale, n int, reorder bool) (OrderRow, error) {
-	cfg := original.DefaultConfig(n)
-	cfg.FaultyNode = 0
-	cfg.FaultDegree = 3
-	model, err := original.Build(cfg)
-	if err != nil {
-		return OrderRow{}, err
-	}
-	eng, err := symbolic.New(model.Sys.Compile(), symbolic.Options{
-		BDD: orderBDD(scale, reorder), NoTrace: true, Obs: Obs,
-	})
-	if err != nil {
-		return OrderRow{}, err
-	}
-	res, err := eng.CheckInvariant(model.Safety())
-	if err != nil {
-		return OrderRow{}, fmt.Errorf("order bus n=%d reorder=%v: %w", n, reorder, err)
-	}
-	return OrderRow{
-		Model: "bus", N: n, Lemma: "safety", Reorder: reorder,
-		Verdict: res.Verdict.String(), Holds: res.Holds(),
-		CPUMS:     res.Stats.Duration.Milliseconds(),
-		PeakNodes: res.Stats.PeakNodes,
-		Reorders:  res.Stats.Reorders,
-	}, nil
-}
-
-func orderTable(rows []OrderRow, scale Scale) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Dynamic variable reordering — pair-grouped sifting (%s scale)\n", scale)
-	b.WriteString("  model  n  lemma   reorder  verdict   cpu        peak nodes  passes\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-5s  %d  %-6s  %-7v  %-8s  %-9v  %10d  %6d\n",
-			r.Model, r.N, r.Lemma, r.Reorder, r.Verdict,
-			(time.Duration(r.CPUMS) * time.Millisecond).Round(time.Millisecond),
-			r.PeakNodes, r.Reorders)
-	}
-	for i := 0; i+1 < len(rows); i += 2 {
-		off, on := rows[i], rows[i+1]
-		if off.PeakNodes > 0 {
-			fmt.Fprintf(&b, "  %s: peak nodes %+.1f%% with reordering\n",
-				off.Model, 100*float64(on.PeakNodes-off.PeakNodes)/float64(off.PeakNodes))
-		}
-	}
-	return b.String()
-}
-
-// WriteOrderReport writes the rows as the BENCH_order.json document.
-func WriteOrderReport(w io.Writer, scale Scale, n int, rows []OrderRow) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(OrderReport{Scale: scale.String(), N: n, Rows: rows})
+	return rows, renderTable("Dynamic variable reordering — pair-grouped sifting ("+scale.String()+" scale)", rows, notes...), nil
 }

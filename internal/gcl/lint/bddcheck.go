@@ -7,6 +7,7 @@ import (
 	"ttastartup/internal/bdd"
 	"ttastartup/internal/circuit"
 	"ttastartup/internal/gcl"
+	"ttastartup/internal/gcl/opt"
 )
 
 // checker owns the BDD universe the exact checks run in. The binary encoding
@@ -238,7 +239,7 @@ func (c *checker) checkRanges(mi, ci int, m *gcl.Module, cmd *gcl.Command, guard
 	var diags []Diag
 	for _, u := range cmd.Updates {
 		card := u.Var.Type.Card
-		if bounds(u.Expr).hi < card {
+		if _, hi := opt.Bounds(u.Expr); hi < card {
 			continue
 		}
 		val := c.comp.CompileValue(u.Expr)

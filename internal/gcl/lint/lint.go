@@ -10,8 +10,9 @@
 //
 //   - Cheap structural analyses: dead-variable classification by a
 //     support-set walk over every guard and update (GCL004-GCL007), and
-//     interval abstract interpretation that folds comparisons whose operand
-//     ranges cannot overlap (GCL009) and pre-filters the out-of-range check.
+//     the optimizer's interval abstract interpretation (opt.Bounds), which
+//     folds comparisons whose operand ranges cannot overlap (GCL009) and
+//     pre-filters the out-of-range check.
 //
 // Diagnostics carry stable codes, a severity, their model location, and —
 // for the BDD-backed checks — a concrete witness valuation, and are emitted
@@ -27,6 +28,7 @@ import (
 
 	"ttastartup/internal/bdd"
 	"ttastartup/internal/gcl"
+	"ttastartup/internal/gcl/opt"
 )
 
 // Severity ranks a diagnostic.
@@ -375,8 +377,8 @@ func constCmpDiags(sys *gcl.System) []Diag {
 
 func visitConstCmps(e gcl.Expr, report func(gcl.Expr, bool)) {
 	if gcl.Op(e) == gcl.OpCmp {
-		if v, ok := foldCmp(e); ok {
-			report(e, v)
+		if lo, hi := opt.Bounds(e); lo == hi {
+			report(e, lo != 0)
 			return // operands of a folded comparison are not worth repeating
 		}
 	}

@@ -2,11 +2,11 @@ package opt
 
 import "ttastartup/internal/gcl"
 
-// interval is an inclusive value range. The analysis in this package is a
-// variable-environment-aware lift of the guard-insensitive interval
-// analysis in internal/gcl/lint: variable reads resolve through an ivEnv
-// instead of the full declared domain, and per-command guard refinement
-// tightens the environment further.
+// interval is an inclusive value range. The analysis in this package is
+// variable-environment aware: variable reads resolve through an ivEnv, and
+// per-command guard refinement tightens the environment further. Its zero
+// environment is the guard-insensitive analysis internal/gcl/lint runs
+// through Bounds.
 type interval struct{ lo, hi int }
 
 func singleton(v int) interval { return interval{v, v} }
@@ -47,8 +47,7 @@ type refKey struct {
 // ivEnv maps variables to a sound interval of the values they can take.
 // base holds flow-insensitive facts (the narrowing fixpoint); ref holds
 // per-command guard refinements keyed by (variable, primed). Reads without
-// an entry fall back to the full declared domain, so the zero ivEnv
-// reproduces the lint analysis exactly.
+// an entry fall back to the full declared domain (the zero ivEnv).
 type ivEnv struct {
 	base map[*gcl.Var]interval
 	ref  map[refKey]interval

@@ -5,9 +5,7 @@
 // range narrowing — iterate to a fixpoint over an internal IR and then
 // materialize a fresh, smaller finalized system together with the rewritten
 // property predicates and an inflation map that lifts counterexample traces
-// of the optimized system back to the source system. A structural
-// interchangeability report (module symmetry classes) rides along as the
-// stepping stone toward counter abstraction.
+// of the optimized system back to the source system.
 package opt
 
 import (
@@ -49,9 +47,6 @@ type Report struct {
 	DeadCmds    []string `json:"dead_cmds,omitempty"`
 	DroppedMods []string `json:"dropped_mods,omitempty"`
 	Narrowed    []string `json:"narrowed,omitempty"`
-	// Classes lists the structural interchangeability classes of size ≥ 2
-	// in the optimized system (module name lists).
-	Classes [][]string `json:"classes,omitempty"`
 }
 
 // VarsDropped returns the number of eliminated state variables.
@@ -144,7 +139,6 @@ func Optimize(sys *gcl.System, opts Options) (*Optimized, error) {
 		rep.CmdsAfter += len(m.Commands())
 	}
 	rep.BitsAfter = stateBits(o.Sys)
-	rep.Classes = interchangeable(o.Sys)
 	o.Report = rep
 	return o, nil
 }

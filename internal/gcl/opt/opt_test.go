@@ -375,36 +375,6 @@ func TestInflateLasso(t *testing.T) {
 	}
 }
 
-func TestSymmetryClasses(t *testing.T) {
-	sys := gcl.NewSystem("sym")
-	t4 := gcl.IntType("t4", 4)
-	for _, name := range []string{"n0", "n1", "n2"} {
-		m := sys.Module(name)
-		v := m.Var("cnt", t4, gcl.InitConst(0))
-		m.Cmd("inc", gcl.Lt(gcl.X(v), gcl.C(t4, 3)), gcl.Set(v, gcl.AddSat(gcl.X(v), 1)))
-		m.Fallback("stay")
-	}
-	odd := sys.Module("odd")
-	v := odd.Var("cnt", t4, gcl.InitConst(1))
-	odd.Cmd("inc", gcl.Lt(gcl.X(v), gcl.C(t4, 3)), gcl.Set(v, gcl.AddSat(gcl.X(v), 1)))
-	odd.Fallback("stay")
-	if err := sys.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	var preds []gcl.Expr
-	for _, m := range sys.Modules() {
-		preds = append(preds, gcl.Le(gcl.X(m.Vars()[0]), gcl.C(t4, 3)))
-	}
-	o, err := opt.Optimize(sys, opt.Options{Preds: preds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]string{{"n0", "n1", "n2"}}
-	if !reflect.DeepEqual(o.Report.Classes, want) {
-		t.Errorf("Classes = %v, want %v (odd differs by init)", o.Report.Classes, want)
-	}
-}
-
 func TestConeVarsAndDeadAfterConstProp(t *testing.T) {
 	sys, vars := counterSystem(t)
 	cone := opt.ConeVars(sys, gcl.Eq(gcl.X(vars["z"]), gcl.C(gcl.BoolType(), 1)))

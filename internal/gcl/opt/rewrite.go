@@ -196,7 +196,8 @@ func Fold(e gcl.Expr) gcl.Expr { return fold(e) }
 
 // Bounds returns a sound inclusive interval of e's possible values with
 // every variable ranging over its full declared domain (the
-// guard-insensitive analysis). Exported for differential fuzzing.
+// guard-insensitive analysis). Exported for differential fuzzing and for
+// lint's range (GCL008) and constant-comparison (GCL009) checks.
 func Bounds(e gcl.Expr) (lo, hi int) {
 	iv := boundsIn(e, ivEnv{})
 	return iv.lo, iv.hi

@@ -153,7 +153,7 @@ func ParseMix(s string) (map[string]int, error) {
 		if !ok {
 			return nil, fmt.Errorf("want kind:weight, got %q", part)
 		}
-		w, err := strconv.Atoi(weight)
+		w, err := strconv.Atoi(strings.TrimSpace(weight))
 		if err != nil {
 			return nil, fmt.Errorf("bad weight in %q", part)
 		}

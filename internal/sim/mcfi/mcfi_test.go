@@ -441,12 +441,14 @@ func TestRunCancelAndCounters(t *testing.T) {
 }
 
 func TestParseMix(t *testing.T) {
-	mix, err := ParseMix(" fault-free:1, faulty-node :2 ,")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mix) != 2 || mix["fault-free"] != 1 || mix["faulty-node"] != 2 {
-		t.Fatalf("ParseMix = %v", mix)
+	for _, in := range []string{" fault-free:1, faulty-node :2 ,", "fault-free:1, faulty-node: 2"} {
+		mix, err := ParseMix(in)
+		if err != nil {
+			t.Fatalf("ParseMix(%q): %v", in, err)
+		}
+		if len(mix) != 2 || mix["fault-free"] != 1 || mix["faulty-node"] != 2 {
+			t.Fatalf("ParseMix(%q) = %v", in, mix)
+		}
 	}
 	for _, bad := range []string{"", ",", "fault-free", "fault-free:x"} {
 		if _, err := ParseMix(bad); err == nil {
