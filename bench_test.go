@@ -35,7 +35,7 @@ func BenchmarkFig4(b *testing.B) {
 	for _, degree := range []int{1, 3, 5} {
 		b.Run(fmt.Sprintf("degree=%d", degree), func(b *testing.B) {
 			for b.Loop() {
-				if _, _, _, err := exp.Fig4(context.Background(), exp.Quick, 3, []int{degree}, 1, nil); err != nil {
+				if _, _, _, err := exp.Fig4(context.Background(), exp.Quick, 3, []int{degree}, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -46,7 +46,7 @@ func BenchmarkFig4(b *testing.B) {
 // BenchmarkFig5Formulas evaluates the closed-form scenario counts.
 func BenchmarkFig5Formulas(b *testing.B) {
 	for b.Loop() {
-		if _, _, err := exp.Fig5(exp.Quick, []int{3, 4, 5}, false); err != nil {
+		if _, _, _, err := exp.Fig5(context.Background(), exp.Quick, []int{3, 4, 5}, false, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func BenchmarkFig5StateCount(b *testing.B) {
 	for _, n := range []int{3, 4} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for b.Loop() {
-				if _, _, err := exp.Fig5(exp.Quick, []int{n}, true); err != nil {
+				if _, _, _, err := exp.Fig5(context.Background(), exp.Quick, []int{n}, true, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,11 +70,11 @@ func BenchmarkFig5StateCount(b *testing.B) {
 func benchFig6(b *testing.B, lemma core.Lemma, n int) {
 	b.Helper()
 	for b.Loop() {
-		rows, _, _, err := exp.Fig6(context.Background(), exp.Quick, lemma, []int{n}, 1, nil)
+		rows, _, _, err := exp.Fig6(context.Background(), exp.Quick, lemma, []int{n}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !rows[0].Eval {
+		if !rows[0].Holds {
 			b.Fatalf("lemma %v violated at n=%d", lemma, n)
 		}
 	}

@@ -6,8 +6,10 @@
 //	ttabench -exp fig6b -full -n 3,4,5
 //	ttabench -exp bigbang -trace
 //	ttabench -exp fig4 -j 1           uncontended per-job timings
-//	ttabench -exp fig6a -json         campaign-store records on stdout,
-//	                                  metrics registry in BENCH_obs.json
+//	ttabench -exp ablation -json      campaign-store records on stdout
+//	                                  (any experiment that runs campaign
+//	                                  jobs: fig4-6, ablation, feedback,
+//	                                  ic3)
 //	ttabench -exp opt -n 4 -bench-dir /tmp
 //	                                  table, and BENCH_opt.json in /tmp
 //	ttabench -compare old.json new.json
@@ -29,12 +31,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
 	"ttastartup/internal/exp"
-	"ttastartup/internal/obs"
 	"ttastartup/internal/serve"
 )
 
@@ -52,9 +52,8 @@ func run() error {
 		nsFlag   = flag.String("n", "", "comma-separated cluster sizes (default per experiment)")
 		measure  = flag.Bool("measure", true, "measure reachable-state counts where applicable")
 		trace    = flag.Bool("trace", false, "print counterexample traces (bigbang)")
-		workers  = flag.Int("j", 0, "worker pool size for the sweep, campaign, and sim experiments (0: GOMAXPROCS; 1 gives uncontended timings)")
-		jsonOut  = flag.Bool("json", false, "emit campaign-store JSONL records instead of tables (fig4, fig6a-d only)")
-		obsOut   = flag.String("obs-out", "", "write the final metrics registry as JSON to this file (default BENCH_obs.json with -json, off otherwise)")
+		workers  = flag.Int("j", 0, "worker pool size for the job-list, campaign, and sim experiments (0: GOMAXPROCS; 1 gives uncontended timings)")
+		jsonOut  = flag.Bool("json", false, "emit campaign-store JSONL records instead of tables (experiments that run campaign jobs)")
 		benchDir = flag.String("bench-dir", ".", "write BENCH_<exp>.json for the opt, order, l2s, sim and serve experiments into this directory (empty: tables only)")
 
 		// bench regression gate
@@ -77,24 +76,6 @@ func run() error {
 		return runCompare(flag.Args(), *tolerance, *reportOnly)
 	}
 
-	if *obsOut == "" && *jsonOut {
-		*obsOut = "BENCH_obs.json"
-	}
-	if *obsOut != "" {
-		exp.Obs = obs.Scope{Reg: obs.NewRegistry()}
-		defer func() {
-			f, err := os.Create(*obsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ttabench: obs-out:", err)
-				return
-			}
-			defer f.Close()
-			if err := exp.Obs.Reg.WriteJSON(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ttabench: obs-out:", err)
-			}
-		}()
-	}
-
 	scale := exp.Quick
 	if *full {
 		scale = exp.Full
@@ -110,207 +91,114 @@ func run() error {
 		}
 	}
 
-	// emitRecords renders campaign records as JSONL (one per line, in
-	// deterministic job order) — the same schema as the ttacampaign store.
-	emitRecords := func(recs []campaign.Record) error {
-		enc := json.NewEncoder(os.Stdout)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+	// size is the cluster size of the single-n experiments: ns[0] when
+	// -n names one size, else def.
+	size := func(def int) int {
+		if len(ns) == 1 {
+			return ns[0]
 		}
-		return nil
+		return def
 	}
-	runOne := func(name string) error {
-		if *jsonOut {
-			switch name {
-			case "fig4", "fig6a", "fig6b", "fig6c", "fig6d", "ic3":
-			default:
-				return fmt.Errorf("-json supports the sweep experiments fig4, fig6a-d, and ic3, not %q", name)
-			}
+	fullN := func(quick, full int) int {
+		if scale == exp.Full {
+			return size(full)
 		}
-		// bench, when set, writes the experiment's BENCH_<name>.json.
-		var bench func(io.Writer) error
+		return size(quick)
+	}
+	ctx := context.Background()
+	runOne := func(name string) error {
+		var (
+			table string
+			recs  []campaign.Record     // set by the experiments that run campaign jobs
+			bench func(io.Writer) error // writes the experiment's BENCH_<name>.json
+			err   error
+		)
 		switch name {
 		case "fig3":
-			fmt.Println(exp.Fig3())
+			table = exp.Fig3()
 		case "fig4":
-			n := 3
-			if scale == exp.Full {
-				n = 4
-			}
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			_, recs, table, err := exp.Fig4(context.Background(), scale, n, nil, *workers, nil)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitRecords(recs)
-			}
-			fmt.Println(table)
+			_, recs, table, err = exp.Fig4(ctx, scale, fullN(3, 4), nil, *workers)
 		case "fig5":
-			_, table, err := exp.Fig5(scale, ns, *measure)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			_, recs, table, err = exp.Fig5(ctx, scale, ns, *measure, *workers)
 		case "fig6a", "fig6b", "fig6c", "fig6d":
 			lemma := map[string]core.Lemma{
 				"fig6a": core.LemmaSafety, "fig6b": core.LemmaLiveness,
 				"fig6c": core.LemmaTimeliness, "fig6d": core.LemmaSafety2,
 			}[name]
-			_, recs, table, err := exp.Fig6(context.Background(), scale, lemma, ns, *workers, nil)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitRecords(recs)
-			}
-			fmt.Println(table)
+			_, recs, table, err = exp.Fig6(ctx, scale, lemma, ns, *workers)
 		case "ic3":
-			_, recs, table, err := exp.IC3Compare(context.Background(), scale, ns, *workers, nil)
-			if err != nil {
-				return err
-			}
-			if *jsonOut {
-				return emitRecords(recs)
-			}
-			fmt.Println(table)
-		case "baseline":
-			_, table, err := exp.Baseline(ns, true)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			_, recs, table, err = exp.IC3Compare(ctx, scale, ns, *workers)
+		case "ablation":
+			_, recs, table, err = exp.Ablation(ctx, scale, size(3), *workers)
+		case "restart":
+			_, table, err = exp.Restart(ctx, scale, size(3))
 		case "feedback":
-			n := 3
-			if scale == exp.Full {
-				n = 4
-			}
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			_, table, err := exp.FeedbackAblation(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			_, recs, table, err = exp.FeedbackAblation(ctx, scale, fullN(3, 4), *workers)
+		case "baseline":
+			_, table, err = exp.Baseline(ns, true)
 		case "bigbang":
-			n := 3
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			broken, _, table, err := exp.BigBang(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
-			if *trace && broken.Symbolic.Trace != nil {
-				fmt.Println("clique counterexample (symbolic engine):")
+			var broken *core.BigBangResult
+			broken, _, table, err = exp.BigBang(scale, size(3))
+			if err == nil && *trace && broken.Symbolic.Trace != nil {
 				// The suite's model is not exposed here; the bounded trace
 				// prints identically through the symbolic result's system.
-				fmt.Printf("(%d steps; run ttamc -no-big-bang -faulty-hub 0 -cex for the rendered trace)\n",
+				table += fmt.Sprintf("\nclique counterexample (symbolic engine):\n(%d steps; run ttamc -no-big-bang -faulty-hub 0 -cex for the rendered trace)\n",
 					broken.Symbolic.Trace.Len())
 			}
-		case "ablation":
-			n := 3
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			_, table, err := exp.Ablation(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
-		case "restart":
-			n := 3
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			_, table, err := exp.Restart(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
 		case "campaign":
-			n := 4
-			if len(ns) == 1 {
-				n = ns[0]
-			}
 			runs := 2000
 			if scale == exp.Full {
 				runs = 20000
 			}
-			_, table, err := exp.Campaign(context.Background(), n, runs, *workers)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			_, table, err = exp.Campaign(ctx, size(4), runs, *workers)
 		case "wcsup":
-			_, table, err := exp.WorstCase(scale, ns)
-			if err != nil {
-				return err
+			_, table, err = exp.WorstCase(scale, ns)
+		case "order", "opt", "l2s":
+			n := size(3)
+			var rows []exp.Row
+			switch name {
+			case "order":
+				rows, table, err = exp.OrderCompare(scale, n)
+			case "opt":
+				n = fullN(3, 4)
+				rows, table, err = exp.OptCompare(scale, n)
+			case "l2s":
+				rows, table, err = exp.L2SCompare(scale, n)
 			}
-			fmt.Println(table)
-		case "order":
-			n := 3
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			rows, table, err := exp.OrderCompare(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
-			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
-		case "opt":
-			n := 3
-			if scale == exp.Full {
-				n = 4
-			}
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			rows, table, err := exp.OptCompare(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
-			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
-		case "l2s":
-			n := 3
-			if len(ns) == 1 {
-				n = ns[0]
-			}
-			rows, table, err := exp.L2SCompare(scale, n)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
 			bench = func(w io.Writer) error { return exp.WriteBench(w, scale, n, rows) }
 		case "sim":
-			rep, table, err := exp.SimFuzz(context.Background(), scale, *workers)
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			var rep *exp.SimReport
+			rep, table, err = exp.SimFuzz(ctx, scale, *workers)
 			bench = func(w io.Writer) error { return exp.WriteSimReport(w, rep) }
 		case "serve":
-			exe, err := os.Executable()
-			if err != nil {
-				return err
+			exe, xerr := os.Executable()
+			if xerr != nil {
+				return xerr
 			}
-			rep, table, err := exp.ServeBench(context.Background(), scale, []string{exe, "-serve-worker"})
-			if err != nil {
-				return err
-			}
-			fmt.Println(table)
+			var rep *exp.ServeReport
+			rep, table, err = exp.ServeBench(ctx, scale, []string{exe, "-serve-worker"})
 			bench = func(w io.Writer) error { return exp.WriteServeReport(w, rep) }
 		default:
 			return fmt.Errorf("unknown experiment %q", name)
 		}
+		if err != nil {
+			return err
+		}
+		if *jsonOut {
+			// The records render as JSONL in deterministic job order, the
+			// schema of the ttacampaign store.
+			if recs == nil {
+				return fmt.Errorf("-json: experiment %q runs no campaign jobs", name)
+			}
+			enc := json.NewEncoder(os.Stdout)
+			for _, rec := range recs {
+				if err := enc.Encode(rec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		fmt.Println(table)
 		if bench == nil || *benchDir == "" {
 			return nil
 		}
@@ -325,24 +213,15 @@ func run() error {
 		return f.Close()
 	}
 
-	// timedRun records per-experiment wall time into the obs registry so
-	// BENCH_obs.json carries a bench trajectory, not just engine counters.
-	timedRun := func(name string) error {
-		start := time.Now()
-		err := runOne(name)
-		exp.Obs.Reg.Counter("bench." + name + ".ms").Add(time.Since(start).Milliseconds())
-		return err
-	}
-
 	if *expName == "all" {
 		for _, name := range []string{"fig3", "fig5", "baseline", "campaign", "sim", "serve", "restart", "ablation", "bigbang", "wcsup", "feedback", "ic3", "opt", "l2s", "fig4", "fig6a", "fig6c", "fig6d", "fig6b"} {
-			if err := timedRun(name); err != nil {
+			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}
 		}
 		return nil
 	}
-	return timedRun(*expName)
+	return runOne(*expName)
 }
 
 // runCompare is the bench regression gate: diff the old (committed) and

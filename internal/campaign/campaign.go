@@ -45,7 +45,22 @@ type Job struct {
 	DeltaInit  int    `json:"delta_init,omitempty"` // power-on window (0: model default)
 	Lemma      string `json:"lemma"`
 	Engine     string `json:"engine"`
+
+	// Design switches of the hub topology (startup.Config), each off by
+	// default and left out of the JSON and the ID when off, so jobs that
+	// do not set them keep their identity.
+	NoFeedback   bool `json:"no_feedback,omitempty"`
+	NoCSPriority bool `json:"no_cs_priority,omitempty"`
+	NoCSWindow   bool `json:"no_cs_window,omitempty"`
+	NoInterlinks bool `json:"no_interlinks,omitempty"`
+	NoWatchdog   bool `json:"no_watchdog,omitempty"`
+	Restartable  bool `json:"restartable,omitempty"` // one transient reset per correct node
 }
+
+// LemmaRecovery names the CTL recovery property AG(AF all-active) of the
+// restart problem (core.Suite.CheckRecovery), checkable on hub jobs with
+// the engines that evaluate CTL (symbolic, explicit).
+const LemmaRecovery = "recovery"
 
 // ID returns the job's canonical identity, a stable human-readable string
 // used as the primary key of the result store.
@@ -70,8 +85,30 @@ func (j Job) ID() string {
 	if j.DeltaInit > 0 {
 		fmt.Fprintf(&b, "/di=%d", j.DeltaInit)
 	}
+	for _, sw := range j.Switches() {
+		b.WriteString("/" + sw)
+	}
 	fmt.Fprintf(&b, "/%s/%s", j.Lemma, j.Engine)
 	return b.String()
+}
+
+// Switches names the design switches the job sets, in ID order:
+// no-feedback, no-cs-priority, no-cs-window, no-interlinks, no-watchdog,
+// restartable.
+func (j Job) Switches() []string {
+	var on []string
+	for _, sw := range []struct {
+		set  bool
+		name string
+	}{
+		{j.NoFeedback, "no-feedback"}, {j.NoCSPriority, "no-cs-priority"}, {j.NoCSWindow, "no-cs-window"},
+		{j.NoInterlinks, "no-interlinks"}, {j.NoWatchdog, "no-watchdog"}, {j.Restartable, "restartable"},
+	} {
+		if sw.set {
+			on = append(on, sw.name)
+		}
+	}
+	return on
 }
 
 // Spec declares a campaign as a cross product of configuration dimensions.

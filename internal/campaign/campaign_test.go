@@ -296,6 +296,25 @@ func TestTimeoutRecordsInconclusive(t *testing.T) {
 	}
 }
 
+// TestRecoveryJobDeadline: a recovery job honours the per-job budget like
+// the other lemmas — both CTL evaluators poll the context — and is
+// recorded inconclusive instead of running on to its verdict.
+func TestRecoveryJobDeadline(t *testing.T) {
+	for _, engine := range []string{"symbolic", "explicit"} {
+		job := Job{
+			Topology: TopologyHub, N: 3, BigBang: true, FaultyNode: -1, FaultyHub: -1,
+			DeltaInit: 4, Lemma: LemmaRecovery, Engine: engine, Restartable: true,
+		}
+		rec, err := ExecuteJob(context.Background(), job, RunOptions{Timeout: 20 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Inconclusive || rec.Verdict != "inconclusive (deadline)" {
+			t.Errorf("%s: want inconclusive record, got %+v", engine, rec)
+		}
+	}
+}
+
 func TestTimeoutFallbackBMC(t *testing.T) {
 	// The BMC fallback gets a fresh budget; give it room at a shallow depth
 	// so the rescue deterministically succeeds where symbolic cannot start.
@@ -408,20 +427,26 @@ func TestForEach(t *testing.T) {
 		t.Fatalf("concurrency bound violated: peak %d workers", peak)
 	}
 
+	// Remaining indexes are skipped once an error is seen. Every index from
+	// 3 on fails, so a worker that ran one of them has seen an error before
+	// it takes its next index: each worker calls fn for at most one index
+	// >= 3, however the scheduler interleaves the workers. (Counting calls
+	// after a single failing index would measure the scheduler instead: a
+	// worker descheduled before running index 3 lets the others run on.)
 	boom := errors.New("boom")
-	var calls int32
-	err = ForEach(context.Background(), 2, 100, func(ctx context.Context, _, i int) error {
-		atomic.AddInt32(&calls, 1)
-		if i == 3 {
-			return boom
+	var late int32
+	err = ForEach(context.Background(), workers, 100, func(ctx context.Context, _, i int) error {
+		if i < 3 {
+			return nil
 		}
-		return nil
+		atomic.AddInt32(&late, 1)
+		return boom
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	if calls >= 100 {
-		t.Fatal("error did not stop the sweep")
+	if late > workers {
+		t.Fatalf("error did not stop the sweep: %d calls at indexes >= 3 on %d workers", late, workers)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -596,6 +621,42 @@ func TestRecordModelDigest(t *testing.T) {
 	// four jobs must span four distinct model digests.
 	if len(seen) != 4 {
 		t.Fatalf("want 4 distinct model digests across the sweep, got %d: %v", len(seen), seen)
+	}
+}
+
+// TestJobDesignSwitches: each design switch adds its ID segment and
+// reaches the model configuration, and a switched job is a different
+// model.
+func TestJobDesignSwitches(t *testing.T) {
+	base := Job{
+		Topology: TopologyHub, N: 3, BigBang: true, FaultyNode: 1, FaultyHub: -1,
+		Degree: 6, DeltaInit: 4, Lemma: "liveness", Engine: "symbolic",
+	}
+	set := base
+	set.NoFeedback, set.NoCSPriority, set.NoCSWindow = true, true, true
+	set.NoInterlinks, set.NoWatchdog, set.Restartable = true, true, true
+	const want = "hub/n=3/bb=on/fnode=1/deg=6/di=4/no-feedback/no-cs-priority/no-cs-window/no-interlinks/no-watchdog/restartable/liveness/symbolic"
+	if id := set.ID(); id != want {
+		t.Errorf("ID %q, want %q", id, want)
+	}
+	cfg := HubConfig(set)
+	if cfg.Feedback || !cfg.DisableCSPriority || !cfg.DisableCSWindow || !cfg.DisableInterlinks ||
+		!cfg.DisableWatchdog || !cfg.RestartableNodes {
+		t.Errorf("HubConfig dropped a switch: %+v", cfg)
+	}
+	if cfg := HubConfig(base); !cfg.Feedback || cfg.DisableCSPriority || cfg.RestartableNodes {
+		t.Errorf("HubConfig of the full design: %+v", cfg)
+	}
+	d0, err := JobModelDigest(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1, err := JobModelDigest(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d0 == d1 {
+		t.Error("switched job has the full design's model digest")
 	}
 }
 

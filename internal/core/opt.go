@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"ttastartup/internal/gcl"
@@ -102,6 +103,13 @@ const recoveryName = "recovery AG(AF all-active)"
 // optimized for their union cone — sound for full CTL because the slice is
 // a bisimulation quotient with respect to the atom predicates.
 func (s *Suite) CheckRecovery(e Engine) (*mc.Result, error) {
+	return s.CheckRecoveryCtx(context.Background(), e)
+}
+
+// CheckRecoveryCtx is CheckRecovery under a context: a deadline or
+// cancellation propagates into the engine's fixpoints (or, explicit, its
+// exploration) and surfaces as ctx.Err().
+func (s *Suite) CheckRecoveryCtx(ctx context.Context, e Engine) (*mc.Result, error) {
 	f := s.Model.Recovery()
 	t := s.source()
 	if s.opts.Opt {
@@ -125,9 +133,9 @@ func (s *Suite) CheckRecovery(e Engine) (*mc.Result, error) {
 		if serr != nil {
 			return nil, serr
 		}
-		res, err = eng.CheckCTL(recoveryName, f)
+		res, err = eng.CheckCTLCtx(ctx, recoveryName, f)
 	case EngineExplicit:
-		res, err = explicit.CheckCTL(t.sys, recoveryName, f, s.opts.Explicit)
+		res, err = explicit.CheckCTLCtx(ctx, t.sys, recoveryName, f, s.opts.Explicit)
 	default:
 		return nil, fmt.Errorf("core: engine %v has no CTL evaluator", e)
 	}

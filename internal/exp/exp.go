@@ -21,18 +21,11 @@ import (
 	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/explicit"
 	"ttastartup/internal/mc/symbolic"
-	"ttastartup/internal/obs"
 	"ttastartup/internal/sim/mcfi"
 	"ttastartup/internal/tta"
 	"ttastartup/internal/tta/original"
 	"ttastartup/internal/tta/startup"
 )
-
-// Obs, when set before an experiment runs, instruments every suite and
-// campaign the experiments construct (ttabench uses it for BENCH_obs.json).
-// The experiments are driver code, not a library API, so a package variable
-// keeps the dozens of experiment signatures stable.
-var Obs obs.Scope
 
 // Scale selects experiment sizing.
 type Scale int
@@ -73,7 +66,6 @@ func (s Scale) bddConfig() bdd.Config {
 func (s Scale) options() core.Options {
 	return core.Options{
 		Symbolic: symbolic.Options{BDD: s.bddConfig(), NoTrace: true},
-		Obs:      Obs,
 	}
 }
 
@@ -84,12 +76,12 @@ func (s Scale) suite(cfg startup.Config) (*core.Suite, error) {
 	return core.NewSuite(cfg, s.options())
 }
 
-// campaignOpts configures the campaign runner for the sweep experiments
-// (Fig. 4, Fig. 6, IC3) on a pool of workers (0: GOMAXPROCS). Rows are
-// reassembled in the deterministic job order of the sweep, so tables read
-// the same however many workers ran.
-func campaignOpts(scale Scale, workers int, progress campaign.Progress) campaign.RunOptions {
-	return campaign.RunOptions{Workers: workers, Progress: progress, Options: scale.options()}
+// campaignOpts configures the campaign runner for the job-list tables on
+// a pool of workers (0: GOMAXPROCS). Rows are reassembled in the
+// deterministic job order of the table, so tables read the same however
+// many workers ran.
+func campaignOpts(scale Scale, workers int) campaign.RunOptions {
+	return campaign.RunOptions{Workers: workers, Options: scale.options()}
 }
 
 // ---------------------------------------------------------------------------
@@ -113,15 +105,28 @@ func Fig3() string {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 4 — verification time vs fault degree
+// The paper's single-check tables. Each cell is one symbolic check of one
+// hub configuration, so each table is a campaign job list run on the pool
+// and reported as Rows (see runTable).
 
-// Fig4Row is one cell row of the Fig. 4 table.
-type Fig4Row struct {
-	Degree     int
-	Safety     time.Duration
-	Liveness   time.Duration
-	Timeliness time.Duration
+// hubJob is the symbolic hub job of the Fig. 4 and Fig. 6 sweeps: big-bang
+// on, node n/2 faulty at the given degree, the scale's power-on window.
+func hubJob(scale Scale, n, degree int, lemma string) campaign.Job {
+	return campaign.Job{
+		Topology:   campaign.TopologyHub,
+		N:          n,
+		BigBang:    true,
+		FaultyNode: n / 2,
+		FaultyHub:  -1,
+		Degree:     degree,
+		DeltaInit:  scale.deltaInit(n),
+		Lemma:      lemma,
+		Engine:     "symbolic",
+	}
 }
+
+// ---------------------------------------------------------------------------
+// Fig. 4 — verification time vs fault degree
 
 // fig4Jobs expands the Fig. 4 sweep into campaign jobs in table order.
 func fig4Jobs(scale Scale, n int, degrees []int) []campaign.Job {
@@ -131,17 +136,7 @@ func fig4Jobs(scale Scale, n int, degrees []int) []campaign.Job {
 	var jobs []campaign.Job
 	for _, d := range degrees {
 		for _, lemma := range []string{"safety", "liveness", "timeliness"} {
-			jobs = append(jobs, campaign.Job{
-				Topology:   campaign.TopologyHub,
-				N:          n,
-				BigBang:    true,
-				FaultyNode: n / 2,
-				FaultyHub:  -1,
-				Degree:     d,
-				DeltaInit:  scale.deltaInit(n),
-				Lemma:      lemma,
-				Engine:     "symbolic",
-			})
+			jobs = append(jobs, hubJob(scale, n, d, lemma))
 		}
 	}
 	return jobs
@@ -150,59 +145,24 @@ func fig4Jobs(scale Scale, n int, degrees []int) []campaign.Job {
 // Fig4 measures symbolic model-checking time for the safety, liveness, and
 // timeliness lemmas as the fault degree increases (the paper used n = 4
 // and δ_failure = 1, 3, 5; Quick scale uses n = 3 and a reduced power-on
-// window). Each cell is one campaign job with a private suite, run on a
-// pool of workers (0: GOMAXPROCS); its time is the job's wall time, model
-// build plus check, and workers = 1 keeps the timings uncontended. It
-// returns the rows (in degree order, independent of scheduling), the
-// campaign records (in job order), and the rendered table.
-func Fig4(ctx context.Context, scale Scale, n int, degrees []int, workers int, progress campaign.Progress) ([]Fig4Row, []campaign.Record, string, error) {
-	jobs := fig4Jobs(scale, n, degrees)
-	rep, err := campaign.RunJobs(ctx, jobs, campaignOpts(scale, workers, progress))
+// window). It returns one row per (degree, lemma) cell in that order; a
+// cell's time is its job's wall time, model build plus check, so
+// workers = 1 keeps the timings uncontended.
+func Fig4(ctx context.Context, scale Scale, n int, degrees []int, workers int) ([]Row, []campaign.Record, string, error) {
+	rows, recs, err := runTable(ctx, "fig4", fig4Jobs(scale, n, degrees), func(j campaign.Job) string {
+		return fmt.Sprintf("δ_failure=%d", j.Degree)
+	}, 0, campaignOpts(scale, workers))
 	if err != nil {
 		return nil, nil, "", err
 	}
-	var rows []Fig4Row
-	var recs []campaign.Record
-	for i, job := range jobs {
-		rec, ok := rep.Record(job)
-		if !ok {
-			return nil, nil, "", fmt.Errorf("fig4: job %s did not run", job.ID())
-		}
-		if rec.Error != "" {
-			return nil, nil, "", fmt.Errorf("fig4: %s: %s", job.ID(), rec.Error)
-		}
-		if !rec.Holds {
-			return nil, nil, "", fmt.Errorf("fig4: lemma %v unexpectedly violated at degree %d", job.Lemma, job.Degree)
-		}
-		recs = append(recs, rec)
-		if i%3 == 0 {
-			rows = append(rows, Fig4Row{Degree: job.Degree})
-		}
-		row := &rows[len(rows)-1]
-		switch job.Lemma {
-		case "safety":
-			row.Safety = rec.Wall()
-		case "liveness":
-			row.Liveness = rec.Wall()
-		case "timeliness":
-			row.Timeliness = rec.Wall()
-		}
-	}
-	return rows, recs, fig4Table(rows, n, scale), nil
-}
-
-// fig4Table renders the Fig. 4 table.
-func fig4Table(rows []Fig4Row, n int, scale Scale) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 4 — effect of fault degree on model-checking time (n=%d, %s scale)\n", n, scale)
-	b.WriteString("  δ_failure   safety      liveness    timeliness\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %4d        %-11v %-11v %-11v\n",
-			r.Degree, r.Safety.Round(time.Millisecond),
-			r.Liveness.Round(time.Millisecond), r.Timeliness.Round(time.Millisecond))
+		if !r.Holds {
+			return nil, nil, "", fmt.Errorf("fig4: lemma %s unexpectedly %s at %s", r.Lemma, r.Verdict, r.Model)
+		}
 	}
-	b.WriteString("  paper (s): degree 1: 44/196/77; degree 3: 166/892/615; degree 5: 251/1324/922\n")
-	return b.String()
+	return rows, recs, renderTable(fmt.Sprintf("Fig. 4 — effect of fault degree on model-checking time (n=%d, %s scale)", n, scale), rows,
+		"cpu is the job's wall time, model build included",
+		"paper (s): degree 1: 44/196/77; degree 3: 166/892/615; degree 5: 251/1324/922"), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -216,18 +176,26 @@ type Fig5Row struct {
 	Degree    int
 	WSup      int
 	SFn       *big.Int
-	Reachable *big.Int // measured (nil when not computed)
+	Reachable string // measured, in decimal ("" when not computed)
 }
 
 // Fig5 evaluates the paper's closed-form scenario counts and, when measure
 // is true, the exact reachable-state count of the faulty-node model at the
-// given scale.
-func Fig5(scale Scale, ns []int, measure bool) ([]Fig5Row, string, error) {
+// given scale. The count is the reachable set of Fig. 6(a)'s safety job,
+// run on the pool like the other tables; the records come back only then.
+func Fig5(ctx context.Context, scale Scale, ns []int, measure bool, workers int) ([]Fig5Row, []campaign.Record, string, error) {
 	if len(ns) == 0 {
 		ns = []int{3, 4, 5}
 	}
+	var recs []campaign.Record
+	if measure {
+		var err error
+		if _, recs, err = runTable(ctx, "fig5", fig6Jobs(scale, core.LemmaSafety, ns), nil, 0, campaignOpts(scale, workers)); err != nil {
+			return nil, nil, "", err
+		}
+	}
 	rows := make([]Fig5Row, 0, len(ns))
-	for _, n := range ns {
+	for i, n := range ns {
 		p := tta.Params{N: n}
 		di := p.DefaultDeltaInit()
 		row := Fig5Row{
@@ -238,16 +206,8 @@ func Fig5(scale Scale, ns []int, measure bool) ([]Fig5Row, string, error) {
 			WSup:      p.WorstCaseStartup(),
 			SFn:       tta.ScenarioCountFaultyNode(6, p.WorstCaseStartup()),
 		}
-		if measure {
-			s, err := scale.suite(startup.DefaultConfig(n).WithFaultyNode(n / 2))
-			if err != nil {
-				return nil, "", err
-			}
-			count, err := s.CountStates()
-			if err != nil {
-				return nil, "", fmt.Errorf("fig5 n=%d: %w", n, err)
-			}
-			row.Reachable = count
+		if recs != nil {
+			row.Reachable = recs[i].Stats.Reachable
 		}
 		rows = append(rows, row)
 	}
@@ -256,157 +216,196 @@ func Fig5(scale Scale, ns []int, measure bool) ([]Fig5Row, string, error) {
 	fmt.Fprintf(&b, "Fig. 5 — number of scenarios (%s scale)\n", scale)
 	b.WriteString("  n   δ_init  |S_sup|        δ_failure  w_sup  |S_f.n.|      reachable(measured)\n")
 	for _, r := range rows {
-		reach := "-"
-		if r.Reachable != nil {
-			reach = r.Reachable.String()
+		reach := r.Reachable
+		if reach == "" {
+			reach = "-"
 		}
 		fmt.Fprintf(&b, "  %d   %4d    %-12s   %d        %3d    %-12s %s\n",
 			r.N, r.DeltaInit, sci(r.SSup), r.Degree, r.WSup, sci(r.SFn), reach)
 	}
 	b.WriteString("  paper: |S_sup| = 3.3e5 / 3.3e7 / 4.1e9; |S_f.n.| = 8e24 / 6e35 / 4.9e46\n")
 	b.WriteString("  paper reachable states (big-bang model): 1.08e9 / 5.09e11 / 2.59e14\n")
-	return rows, b.String(), nil
+	return rows, recs, b.String(), nil
+}
+
+// sci renders a big integer in short scientific notation.
+func sci(v *big.Int) string {
+	s := v.String()
+	if len(s) <= 6 {
+		return s
+	}
+	return fmt.Sprintf("%c.%se%d", s[0], s[1:2], len(s)-1)
 }
 
 // ---------------------------------------------------------------------------
-// Design ablations: remove one protective mechanism at a time and report
-// which lemma the model checker breaks (the DESIGN.md findings, as a
-// reproducible table).
+// Fig. 6 — exhaustive fault simulation
 
-// AblationRow records one ablation outcome.
-type AblationRow struct {
-	Mechanism string
-	Lemma     core.Lemma
-	Fault     string
-	Holds     bool
-	CPU       time.Duration
+// fig6Jobs expands one Fig. 6 sub-table into campaign jobs in table order.
+func fig6Jobs(scale Scale, lemma core.Lemma, ns []int) []campaign.Job {
+	if len(ns) == 0 {
+		ns = []int{3, 4}
+	}
+	var jobs []campaign.Job
+	for _, n := range ns {
+		j := hubJob(scale, n, 6, lemma.String())
+		if lemma == core.LemmaSafety2 {
+			j.FaultyNode = -1
+			j.FaultyHub = 0
+			j.Degree = 0
+		}
+		jobs = append(jobs, j)
+	}
+	return jobs
+}
+
+// Fig6 runs one lemma of the exhaustive fault simulation (fault degree 6)
+// across cluster sizes: sub-tables (a) safety, (b) liveness, (c)
+// timeliness against a faulty node, and (d) safety-2 against a faulty hub.
+// It runs on the pool like Fig4 and reports BDD variables and reachable
+// states per row.
+func Fig6(ctx context.Context, scale Scale, lemma core.Lemma, ns []int, workers int) ([]Row, []campaign.Record, string, error) {
+	rows, recs, err := runTable(ctx, "fig6", fig6Jobs(scale, lemma, ns), func(j campaign.Job) string {
+		switch {
+		case j.FaultyHub >= 0:
+			return "faulty hub"
+		case lemma == core.LemmaTimeliness:
+			// The suite's timeliness bound: w_sup plus the discretisation
+			// margin of one round (see core.Suite.TimelinessBound).
+			p := tta.Params{N: j.N}
+			return fmt.Sprintf("faulty node, bound %d", p.WorstCaseStartup()+p.Round())
+		}
+		return "faulty node"
+	}, mStates, campaignOpts(scale, workers))
+	if err != nil {
+		return nil, nil, "", err
+	}
+	note := map[core.Lemma]string{
+		core.LemmaSafety:     "paper (n=3/4/5): true, 62/260/921 s, 248/316/422 BDD vars",
+		core.LemmaLiveness:   "paper (n=3/4/5): true, 228/1243/41264 s, 250/318/424 BDD vars",
+		core.LemmaTimeliness: "paper (n=3/4/5): true, 48/908/4481 s, 268/336/442 BDD vars, w_sup 16/23/30",
+		core.LemmaSafety2:    "paper (n=3/4/5): true, 57/83/4290 s, 272/348/462 BDD vars",
+	}[lemma]
+	return rows, recs, renderTable(fmt.Sprintf("Fig. 6 — exhaustive fault simulation, lemma %v (δ_failure=6, feedback on, %s scale)", lemma, scale), rows, note), nil
+}
+
+// ---------------------------------------------------------------------------
+// Design exploration: the mechanism ablations, the restart problem and
+// feedback. Rows name the design variant a job checks (design).
+
+// design names the hub design variant a job checks: "full design", or
+// what it switches off (no-big-bang, then campaign.Job.Switches).
+func design(j campaign.Job) string {
+	parts := j.Switches()
+	if !j.BigBang {
+		parts = append([]string{"no-big-bang"}, parts...)
+	}
+	if len(parts) == 0 {
+		return "full design"
+	}
+	return strings.Join(parts, ", ")
+}
+
+// ablationJobs lists the ablation probes: the full design against its two
+// characteristic faults, then each mechanism removed under the fault and
+// lemma that expose it. The power-on window 2n is wide enough for every
+// known scenario.
+func ablationJobs(n int) []campaign.Job {
+	hub := campaign.Job{
+		Topology: campaign.TopologyHub, N: n, BigBang: true,
+		FaultyNode: -1, FaultyHub: 0, DeltaInit: 2 * n, Lemma: "safety", Engine: "symbolic",
+	}
+	node := hub
+	node.FaultyNode, node.FaultyHub, node.Degree, node.Lemma = n/2, -1, 6, "liveness"
+	with := func(j campaign.Job, set func(*campaign.Job)) campaign.Job {
+		set(&j)
+		return j
+	}
+	return []campaign.Job{
+		hub,
+		node,
+		with(hub, func(j *campaign.Job) { j.BigBang = false }),
+		with(node, func(j *campaign.Job) { j.NoCSPriority = true }),
+		// The cold-start window was needed during reconstruction (before
+		// interlink integration existed); the checker now shows it is
+		// redundant defense-in-depth at checkable scales.
+		with(hub, func(j *campaign.Job) { j.NoCSWindow = true }),
+		with(node, func(j *campaign.Job) { j.NoInterlinks, j.Lemma = true, "hubs-agree" }),
+		with(node, func(j *campaign.Job) { j.NoWatchdog, j.Restartable = true, true }),
+	}
 }
 
 // Ablation verifies that each protective mechanism of the design is
 // load-bearing: the full design passes every probe, and every ablated
 // variant fails its characteristic lemma under its characteristic fault.
-func Ablation(scale Scale, n int) ([]AblationRow, string, error) {
-	type variant struct {
-		name   string
-		mut    func(*startup.Config)
-		lemma  core.Lemma
-		faulty string // "node" or "hub"
-	}
-	variants := []variant{
-		{"full design (safety)", func(*startup.Config) {}, core.LemmaSafety, "hub"},
-		{"full design (liveness)", func(*startup.Config) {}, core.LemmaLiveness, "node"},
-		{"no big-bang", func(c *startup.Config) { c.DisableBigBang = true }, core.LemmaSafety, "hub"},
-		{"no cs-priority", func(c *startup.Config) { c.DisableCSPriority = true }, core.LemmaLiveness, "node"},
-		// The cold-start window was needed during reconstruction (before
-		// interlink integration existed); the checker now shows it is
-		// redundant defense-in-depth at checkable scales.
-		{"no cs-window", func(c *startup.Config) { c.DisableCSWindow = true }, core.LemmaSafety, "hub"},
-		{"no interlinks", func(c *startup.Config) { c.DisableInterlinks = true }, core.LemmaHubsAgree, "node"},
-		{"no watchdog", func(c *startup.Config) {
-			c.DisableWatchdog = true
-			c.RestartableNodes = true
-		}, core.LemmaLiveness, "node"},
-	}
-
-	rows := make([]AblationRow, 0, len(variants))
-	for _, v := range variants {
-		cfg := startup.DefaultConfig(n)
-		if v.faulty == "hub" {
-			cfg = cfg.WithFaultyHub(0)
-		} else {
-			cfg = cfg.WithFaultyNode(n / 2)
+// The seven checks run on the pool.
+func Ablation(ctx context.Context, scale Scale, n, workers int) ([]Row, []campaign.Record, string, error) {
+	rows, recs, err := runTable(ctx, "ablation", ablationJobs(n), func(j campaign.Job) string {
+		if j.FaultyHub >= 0 {
+			return design(j) + ", faulty hub"
 		}
-		v.mut(&cfg)
-		cfg.DeltaInit = 2 * n // a window wide enough for the known scenarios
-		s, err := scale.suite(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := s.Check(v.lemma, core.EngineSymbolic)
-		if err != nil {
-			return nil, "", fmt.Errorf("ablation %s: %w", v.name, err)
-		}
-		rows = append(rows, AblationRow{
-			Mechanism: v.name, Lemma: v.lemma, Fault: v.faulty,
-			Holds: res.Holds(), CPU: res.Stats.Duration,
-		})
+		return design(j) + ", faulty node"
+	}, 0, campaignOpts(scale, workers))
+	if err != nil {
+		return nil, nil, "", err
 	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Design ablations (n=%d, %s scale)\n", n, scale)
-	b.WriteString("  variant                  lemma       fault  verdict       cpu\n")
-	for _, r := range rows {
-		verdict := "VIOLATED"
-		if r.Holds {
-			verdict = "holds"
-		}
-		fmt.Fprintf(&b, "  %-24s %-11s %-6s %-13s %v\n",
-			r.Mechanism, r.Lemma, r.Fault, verdict, r.CPU.Round(time.Millisecond))
-	}
-	b.WriteString("  every mechanism except the cs-window is load-bearing; the window became\n")
-	b.WriteString("  redundant defense-in-depth once interlink integration was added\n")
-	return rows, b.String(), nil
+	return rows, recs, renderTable(fmt.Sprintf("Design ablations (n=%d, %s scale)", n, scale), rows,
+		"every mechanism except the cs-window is load-bearing; the window became",
+		"redundant defense-in-depth once interlink integration was added"), nil
 }
 
-// ---------------------------------------------------------------------------
-// Restart problem (paper Section 2.1) — an extension experiment
-
-// RestartRow summarises the restart-problem verification.
-type RestartRow struct {
-	N         int
-	Lemma     string
-	Holds     bool
-	CPU       time.Duration
-	Reachable *big.Int
-}
-
-// Restart verifies the Section 2.1 restart problem: with one transient
-// reset allowed per correct node, the safety and liveness lemmas and the
-// CTL recovery property AG(AF all-active) must hold.
-func Restart(scale Scale, n int) ([]RestartRow, string, error) {
-	cfg := startup.DefaultConfig(n)
-	cfg.RestartableNodes = true
-	s, err := scale.suite(cfg)
+// Restart verifies the Section 2.1 restart problem (an extension
+// experiment): with one transient reset allowed per correct node, the
+// safety and liveness lemmas and the CTL recovery property AG(AF
+// all-active) (lemma campaign.LemmaRecovery) must hold. The three checks
+// share one suite, so the symbolic engine builds the reachable set once;
+// as three campaign jobs each would rebuild it.
+func Restart(ctx context.Context, scale Scale, n int) ([]Row, string, error) {
+	job := campaign.Job{
+		Topology: campaign.TopologyHub, N: n, BigBang: true, FaultyNode: -1, FaultyHub: -1,
+		DeltaInit: scale.deltaInit(n), Engine: "symbolic", Restartable: true,
+	}
+	s, err := core.NewSuite(campaign.HubConfig(job), scale.options())
 	if err != nil {
 		return nil, "", err
 	}
-	var rows []RestartRow
-	for _, l := range []core.Lemma{core.LemmaSafety, core.LemmaLiveness} {
-		res, err := s.Check(l, core.EngineSymbolic)
-		if err != nil {
-			return nil, "", fmt.Errorf("restart %v: %w", l, err)
+	var rows []Row
+	for _, lemma := range []string{"safety", "liveness", campaign.LemmaRecovery} {
+		var res *mc.Result
+		switch lemma {
+		case campaign.LemmaRecovery:
+			res, err = s.CheckRecoveryCtx(ctx, core.EngineSymbolic)
+		case "safety":
+			res, err = s.CheckCtx(ctx, core.LemmaSafety, core.EngineSymbolic)
+		default:
+			res, err = s.CheckCtx(ctx, core.LemmaLiveness, core.EngineSymbolic)
 		}
-		rows = append(rows, RestartRow{
-			N: n, Lemma: l.String(), Holds: res.Holds(),
-			CPU: res.Stats.Duration, Reachable: res.Stats.Reachable,
+		if err != nil {
+			return nil, "", fmt.Errorf("restart %s: %w", lemma, err)
+		}
+		rows = append(rows, Row{
+			Model: design(job), N: n, Lemma: lemma, Engine: job.Engine,
+			Verdict: res.Verdict.String(), Holds: res.Holds(), CPUMS: res.Stats.Duration.Milliseconds(),
+			Reachable: res.Stats.Reachable.String(), BDDVars: res.Stats.BDDVars,
 		})
 	}
-	eng, err := s.Symbolic()
-	if err != nil {
-		return nil, "", err
-	}
-	rec, err := eng.CheckCTL("recovery", s.Model.Recovery())
-	if err != nil {
-		return nil, "", err
-	}
-	rows = append(rows, RestartRow{
-		N: n, Lemma: "AG(AF all-active)", Holds: rec.Holds(),
-		CPU: rec.Stats.Duration, Reachable: rec.Stats.Reachable,
-	})
+	return rows, renderTable(fmt.Sprintf("Restart problem (Section 2.1 extension; one transient reset per node, n=%d, %s scale)", n, scale), rows,
+		"recovery is the CTL property AG(AF all-active)",
+		"requires the guardian silence watchdog; without it the model checker",
+		"exhibits a liveness counterexample (see DESIGN.md finding 5)"), nil
+}
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "Restart problem (Section 2.1 extension; one transient reset per node, n=%d, %s scale)\n", n, scale)
-	b.WriteString("  property           eval   cpu          reachable\n")
-	for _, r := range rows {
-		reach := "-"
-		if r.Reachable != nil {
-			reach = sci(r.Reachable)
-		}
-		fmt.Fprintf(&b, "  %-18s %-6v %-12v %s\n", r.Lemma, r.Holds, r.CPU.Round(time.Millisecond), reach)
+// FeedbackAblation measures the effect of the feedback state-space
+// reduction (Section 5.1) on the safety check with a degree-6 faulty node.
+func FeedbackAblation(ctx context.Context, scale Scale, n, workers int) ([]Row, []campaign.Record, string, error) {
+	on := hubJob(scale, n, 6, "safety")
+	off := on
+	off.NoFeedback = true
+	rows, recs, err := runTable(ctx, "feedback", []campaign.Job{on, off}, design, mStates|mPeak, campaignOpts(scale, workers))
+	if err != nil {
+		return nil, nil, "", err
 	}
-	b.WriteString("  requires the guardian silence watchdog; without it the model checker\n")
-	b.WriteString("  exhibits a liveness counterexample (see DESIGN.md finding 5)\n")
-	return rows, b.String(), nil
+	return rows, recs, renderTable(fmt.Sprintf("Section 5.1 — feedback ablation (safety, n=%d, δ_failure=6, %s scale)", n, scale), rows,
+		"paper: one 6-node property: 30,352 s with feedback on; >51 h (unterminated) off"), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +436,7 @@ func Campaign(ctx context.Context, n, runs, workers int) ([]CampaignRow, string,
 	}
 	rows := make([]CampaignRow, 0, len(specs))
 	for _, sp := range specs {
-		rep, err := mcfi.Run(ctx, sp, mcfi.RunOptions{Workers: workers, Scope: Obs})
+		rep, err := mcfi.Run(ctx, sp, mcfi.RunOptions{Workers: workers})
 		if err != nil {
 			return nil, "", err
 		}
@@ -462,123 +461,6 @@ func Campaign(ctx context.Context, n, runs, workers int) ([]CampaignRow, string,
 	}
 	b.WriteString("  sampling never observed an agreement violation nor exceeded the verified bound\n")
 	return rows, b.String(), nil
-}
-
-// sci renders a big integer in short scientific notation.
-func sci(v *big.Int) string {
-	s := v.String()
-	if len(s) <= 6 {
-		return s
-	}
-	return fmt.Sprintf("%c.%se%d", s[0], s[1:2], len(s)-1)
-}
-
-// ---------------------------------------------------------------------------
-// Fig. 6 — exhaustive fault simulation
-
-// Fig6Row is one row of a Fig. 6 sub-table.
-type Fig6Row struct {
-	N         int
-	Eval      bool
-	CPU       time.Duration
-	BDDVars   int
-	Reachable *big.Int
-	WSup      int // only for the timeliness sub-table
-}
-
-// fig6Jobs expands one Fig. 6 sub-table into campaign jobs in table order.
-func fig6Jobs(scale Scale, lemma core.Lemma, ns []int) []campaign.Job {
-	if len(ns) == 0 {
-		ns = []int{3, 4}
-	}
-	var jobs []campaign.Job
-	for _, n := range ns {
-		j := campaign.Job{
-			Topology:   campaign.TopologyHub,
-			N:          n,
-			BigBang:    true,
-			FaultyNode: n / 2,
-			FaultyHub:  -1,
-			Degree:     6,
-			DeltaInit:  scale.deltaInit(n),
-			Lemma:      lemma.String(),
-			Engine:     "symbolic",
-		}
-		if lemma == core.LemmaSafety2 {
-			j.FaultyNode = -1
-			j.FaultyHub = 0
-			j.Degree = 0
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs
-}
-
-// Fig6 runs one lemma of the exhaustive fault simulation (fault degree 6)
-// across cluster sizes: sub-tables (a) safety, (b) liveness, (c)
-// timeliness against a faulty node, and (d) safety-2 against a faulty hub.
-// It runs on a campaign worker pool like Fig4 and has the same shape.
-func Fig6(ctx context.Context, scale Scale, lemma core.Lemma, ns []int, workers int, progress campaign.Progress) ([]Fig6Row, []campaign.Record, string, error) {
-	jobs := fig6Jobs(scale, lemma, ns)
-	rep, err := campaign.RunJobs(ctx, jobs, campaignOpts(scale, workers, progress))
-	if err != nil {
-		return nil, nil, "", err
-	}
-	var rows []Fig6Row
-	var recs []campaign.Record
-	for _, job := range jobs {
-		rec, ok := rep.Record(job)
-		if !ok {
-			return nil, nil, "", fmt.Errorf("fig6: job %s did not run", job.ID())
-		}
-		if rec.Error != "" {
-			return nil, nil, "", fmt.Errorf("fig6: %s: %s", job.ID(), rec.Error)
-		}
-		recs = append(recs, rec)
-		row := Fig6Row{
-			N:       job.N,
-			Eval:    rec.Holds,
-			CPU:     rec.Wall(),
-			BDDVars: rec.Stats.BDDVars,
-		}
-		if rec.Stats.Reachable != "" {
-			row.Reachable, _ = new(big.Int).SetString(rec.Stats.Reachable, 10)
-		}
-		if lemma == core.LemmaTimeliness {
-			// The suite's timeliness bound: w_sup plus the discretisation
-			// margin of one round (see core.Suite.TimelinessBound).
-			p := tta.Params{N: job.N}
-			row.WSup = p.WorstCaseStartup() + p.Round()
-		}
-		rows = append(rows, row)
-	}
-	return rows, recs, fig6Table(rows, lemma, scale), nil
-}
-
-// fig6Table renders a Fig. 6 sub-table.
-func fig6Table(rows []Fig6Row, lemma core.Lemma, scale Scale) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Fig. 6 — exhaustive fault simulation, lemma %v (δ_failure=6, feedback on, %s scale)\n", lemma, scale)
-	b.WriteString("  nodes  eval   cpu          BDD vars  reachable\n")
-	for _, r := range rows {
-		reach := "-"
-		if r.Reachable != nil {
-			reach = sci(r.Reachable)
-		}
-		fmt.Fprintf(&b, "  %d      %-6v %-12v %4d      %s\n",
-			r.N, r.Eval, r.CPU.Round(time.Millisecond), r.BDDVars, reach)
-	}
-	switch lemma {
-	case core.LemmaSafety:
-		b.WriteString("  paper (n=3/4/5): true, 62/260/921 s, 248/316/422 BDD vars\n")
-	case core.LemmaLiveness:
-		b.WriteString("  paper (n=3/4/5): true, 228/1243/41264 s, 250/318/424 BDD vars\n")
-	case core.LemmaTimeliness:
-		b.WriteString("  paper (n=3/4/5): true, 48/908/4481 s, 268/336/442 BDD vars, w_sup 16/23/30\n")
-	case core.LemmaSafety2:
-		b.WriteString("  paper (n=3/4/5): true, 57/83/4290 s, 272/348/462 BDD vars\n")
-	}
-	return b.String()
 }
 
 // ---------------------------------------------------------------------------
@@ -670,49 +552,6 @@ func Baseline(ns []int, faulty bool) ([]BaselineRow, string, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Section 5.1 — feedback ablation
-
-// FeedbackRow compares one configuration with feedback on and off.
-type FeedbackRow struct {
-	N         int
-	Feedback  bool
-	CPU       time.Duration
-	Reachable *big.Int
-	PeakNodes int
-}
-
-// FeedbackAblation measures the effect of the feedback state-space
-// reduction (Section 5.1) on the safety check with a degree-6 faulty node.
-func FeedbackAblation(scale Scale, n int) ([]FeedbackRow, string, error) {
-	rows := make([]FeedbackRow, 0, 2)
-	for _, fb := range []bool{true, false} {
-		cfg := startup.DefaultConfig(n).WithFaultyNode(n / 2)
-		cfg.Feedback = fb
-		s, err := scale.suite(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		res, err := s.Check(core.LemmaSafety, core.EngineSymbolic)
-		if err != nil {
-			return nil, "", fmt.Errorf("feedback n=%d fb=%v: %w", n, fb, err)
-		}
-		rows = append(rows, FeedbackRow{
-			N: n, Feedback: fb, CPU: res.Stats.Duration,
-			Reachable: res.Stats.Reachable, PeakNodes: res.Stats.PeakNodes,
-		})
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section 5.1 — feedback ablation (safety, n=%d, δ_failure=6, %s scale)\n", n, scale)
-	b.WriteString("  feedback  cpu          reachable      peak BDD nodes\n")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-8v  %-12v %-14s %d\n",
-			r.Feedback, r.CPU.Round(time.Millisecond), sci(r.Reachable), r.PeakNodes)
-	}
-	b.WriteString("  paper: one 6-node property: 30,352 s with feedback on; >51 h (unterminated) off\n")
-	return rows, b.String(), nil
-}
-
-// ---------------------------------------------------------------------------
 // Section 5.2 — big-bang exploration
 
 // BigBang runs the design-exploration experiment: disable the big-bang
@@ -724,7 +563,7 @@ func BigBang(scale Scale, n int) (*core.BigBangResult, *mc.Result, string, error
 	if cfg.DeltaInit == 0 {
 		cfg.DeltaInit = 2 * n // keep the BMC unrolling tractable at full scale
 	}
-	opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}, Obs: Obs}
+	opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}}
 	broken, err := core.BigBangExploration(cfg, opts)
 	if err != nil {
 		return nil, nil, "", err

@@ -57,7 +57,7 @@ func ic3Pairs(scale Scale, ns []int) []campaign.Job {
 // IC3Compare runs the IC3-vs-induction sweep on a campaign worker pool and
 // returns one row per engine run, the raw campaign records (in job order),
 // and the rendered table.
-func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progress campaign.Progress) ([]Row, []campaign.Record, string, error) {
+func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int) ([]Row, []campaign.Record, string, error) {
 	pairs := ic3Pairs(scale, ns)
 	var jobs []campaign.Job
 	for _, p := range pairs {
@@ -67,35 +67,18 @@ func IC3Compare(ctx context.Context, scale Scale, ns []int, workers int, progres
 			jobs = append(jobs, j)
 		}
 	}
-	opts := campaignOpts(scale, workers, progress)
+	opts := campaignOpts(scale, workers)
 	// A per-job budget turns an engine regression into an "inconclusive
 	// (deadline)" row instead of a hung table.
 	opts.Timeout = 5 * time.Minute
-	rep, err := campaign.RunJobs(ctx, jobs, opts)
+	rows, recs, err := runTable(ctx, "ic3", jobs, func(j campaign.Job) string {
+		if j.Topology == campaign.TopologyHub {
+			return "hub no-big-bang faulty-hub"
+		}
+		return fmt.Sprintf("bus δ_failure=%d", j.Degree)
+	}, mRounds|mCex, opts)
 	if err != nil {
 		return nil, nil, "", err
-	}
-
-	var rows []Row
-	var recs []campaign.Record
-	for _, job := range jobs {
-		rec, ok := rep.Record(job)
-		if !ok {
-			return nil, nil, "", fmt.Errorf("ic3: job %s did not run", job.ID())
-		}
-		if rec.Error != "" {
-			return nil, nil, "", fmt.Errorf("ic3: %s: %s", job.ID(), rec.Error)
-		}
-		recs = append(recs, rec)
-		label := fmt.Sprintf("bus δ_failure=%d", job.Degree)
-		if job.Topology == campaign.TopologyHub {
-			label = "hub no-big-bang faulty-hub"
-		}
-		rows = append(rows, Row{
-			Model: label, N: job.N, Lemma: job.Lemma, Engine: job.Engine,
-			Verdict: rec.Verdict, Holds: rec.Holds, CPUMS: rec.WallMS,
-			Rounds: rec.Stats.Iterations, SATQueries: rec.Stats.SATQueries, CexLen: rec.CexLen,
-		})
 	}
 	return rows, recs, renderTable(fmt.Sprintf("IC3 vs k-induction — the SAT provers, wall time and SAT queries per lemma (%s scale)", scale), rows,
 		"rounds are IC3 frames and induction depth k; cpu is the job's wall time",

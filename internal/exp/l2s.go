@@ -50,7 +50,7 @@ func L2SCompare(scale Scale, n int) ([]Row, string, error) {
 	for _, mcase := range cases {
 		var truth bool
 		for _, engine := range []string{"symbolic", "bmc", "induction", "ic3"} {
-			opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}, BMCDepth: 20, Obs: Obs}
+			opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}, BMCDepth: 20}
 			if engine == "induction" {
 				opts.BMCDepth = mcase.maxK
 			}

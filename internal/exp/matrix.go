@@ -1,11 +1,13 @@
 package exp
 
-// The matrix experiments (opt, order, l2s, ic3) are cells of the paper's
-// evaluation grid — configuration × lemma × engine — checked under one
-// option set each. A cell names its configuration as a campaign.Job and
-// runs it through campaign.CheckJob (campaign.JobModel, then core.Check);
-// every experiment reports the same Row type through one table renderer
-// and one BENCH_<exp>.json writer.
+// Every table of the evaluation is a list of cells of the paper's grid —
+// configuration × lemma × engine — each named as a campaign.Job. The
+// matrix experiments (opt, order, l2s) vary the check options per cell and
+// run each through campaign.CheckJob (campaign.JobModel, then core.Check);
+// the single-check tables (Figs. 4–6, ablation, restart, feedback, ic3)
+// share one option set and run on the campaign pool (runTable). Every
+// experiment reports the same Row type through one table renderer and one
+// BENCH_<exp>.json writer.
 
 import (
 	"context"
@@ -49,17 +51,25 @@ type Row struct {
 	VarsDropped int `json:"vars_dropped,omitempty"`
 	CmdsDropped int `json:"cmds_dropped,omitempty"`
 	BitsSaved   int `json:"bits_saved,omitempty"`
+	// Reachable is the reachable-state count in decimal and BDDVars the
+	// BDD variable count of the symbolic engine.
+	Reachable string `json:"reachable,omitempty"`
+	BDDVars   int    `json:"bdd_vars,omitempty"`
 }
 
 // measure selects the counters an experiment reports out of those every
-// check has: the BDD experiments report peak nodes, the engine matrix
-// reports rounds. The other optional measurements are zero unless the
-// experiment turns on what produces them.
+// check has: the BDD experiments report peak nodes, the engine matrices
+// rounds, ic3 also counterexample lengths, the exhaustive-simulation
+// tables reachable states and BDD variables. The other optional
+// measurements are zero unless the experiment turns on what produces them
+// (SAT queries, counted only by the SAT engines).
 type measure uint8
 
 const (
 	mPeak   measure = 1 << iota // PeakNodes
 	mRounds                     // Rounds
+	mStates                     // Reachable, BDDVars
+	mCex                        // CexLen (cell.run always reports it)
 )
 
 // cell is one check of a matrix experiment.
@@ -96,15 +106,57 @@ func (c cell) run(m measure) (Row, *mc.Result, error) {
 	return r, res, nil
 }
 
+// runTable checks a table's jobs on the campaign pool and returns one row
+// per job, labelled by label (nil: no label), and the records, both in job
+// order however the pool scheduled them. A job the pool did not run or
+// whose check failed is an error naming the table.
+func runTable(ctx context.Context, table string, jobs []campaign.Job, label func(campaign.Job) string, m measure, opts campaign.RunOptions) ([]Row, []campaign.Record, error) {
+	rep, err := campaign.RunJobs(ctx, jobs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows := make([]Row, 0, len(jobs))
+	recs := make([]campaign.Record, 0, len(jobs))
+	for _, job := range jobs {
+		rec, ok := rep.Record(job)
+		switch {
+		case !ok:
+			return nil, nil, fmt.Errorf("%s: job %s did not run", table, job.ID())
+		case rec.Error != "":
+			return nil, nil, fmt.Errorf("%s: %s: %s", table, job.ID(), rec.Error)
+		}
+		r := Row{
+			N: job.N, Lemma: job.Lemma, Engine: job.Engine,
+			Verdict: rec.Verdict, Holds: rec.Holds, CPUMS: rec.WallMS,
+			SATQueries: rec.Stats.SATQueries,
+		}
+		if label != nil {
+			r.Model = label(job)
+		}
+		st := rec.Stats
+		if m&mPeak != 0 {
+			r.PeakNodes = st.PeakNodes
+		}
+		if m&mRounds != 0 {
+			r.Rounds = st.Iterations
+		}
+		if m&mStates != 0 {
+			r.Reachable, r.BDDVars = st.Reachable, st.BDDVars
+		}
+		if m&mCex != 0 {
+			r.CexLen = rec.CexLen
+		}
+		rows = append(rows, r)
+		recs = append(recs, rec)
+	}
+	return rows, recs, nil
+}
+
 // hubAndBus returns the opt and order experiments' two configurations on
 // the symbolic engine: the hub with faulty node n/2 at degree 6, and the
 // bus with faulty node 0 at degree 3 (its default power-on window).
 func hubAndBus(scale Scale, n int) (hub, bus campaign.Job) {
-	hub = campaign.Job{
-		Topology: campaign.TopologyHub, N: n, BigBang: true,
-		FaultyNode: n / 2, FaultyHub: -1, Degree: 6, DeltaInit: scale.deltaInit(n),
-		Engine: "symbolic",
-	}
+	hub = hubJob(scale, n, 6, "")
 	bus = campaign.Job{
 		Topology: campaign.TopologyBus, N: n,
 		FaultyNode: 0, FaultyHub: -1, Degree: 3,
@@ -138,8 +190,8 @@ func change(off, on int64) string {
 }
 
 // columns are the table's columns in order. An optional column is shown
-// only when some row has a non-zero value in it, and a zero count in it
-// reads "-".
+// only when some row has a non-zero value in it, and a zero count or an
+// empty string in it reads "-".
 var columns = []struct {
 	head     string
 	optional bool
@@ -154,6 +206,8 @@ var columns = []struct {
 	{"exact", true, func(r Row) any { return r.Exact }},
 	{"verdict", false, func(r Row) any { return r.Verdict }},
 	{"cpu", false, func(r Row) any { return time.Duration(r.CPUMS) * time.Millisecond }},
+	{"BDD vars", true, func(r Row) any { return r.BDDVars }},
+	{"reachable", true, func(r Row) any { return r.Reachable }},
 	{"peak nodes", true, func(r Row) any { return r.PeakNodes }},
 	{"passes", true, func(r Row) any { return r.Reorders }},
 	{"rounds", true, func(r Row) any { return r.Rounds }},
@@ -171,7 +225,7 @@ func renderTable(title string, rows []Row, notes ...string) string {
 	var show []int
 	for i, c := range columns {
 		for _, r := range rows {
-			if v := c.val(r); !c.optional || (v != any(0) && v != any(false)) {
+			if v := c.val(r); !c.optional || (v != any(0) && v != any(false) && v != any("")) {
 				show = append(show, i)
 				break
 			}
@@ -189,7 +243,7 @@ func renderTable(title string, rows []Row, notes ...string) string {
 	line(func(i int) any { return columns[i].head })
 	for _, r := range rows {
 		line(func(i int) any {
-			if v := columns[i].val(r); !columns[i].optional || v != any(0) {
+			if v := columns[i].val(r); !columns[i].optional || (v != any(0) && v != any("")) {
 				return v
 			}
 			return "-"

@@ -74,7 +74,7 @@ func serveOne(ctx context.Context, spec *campaign.Spec, workers int, workerCmd [
 	}
 	defer os.RemoveAll(dir)
 
-	d, err := serve.New(serve.Config{Dir: dir, Workers: workers, WorkerCmd: workerCmd, Scope: Obs})
+	d, err := serve.New(serve.Config{Dir: dir, Workers: workers, WorkerCmd: workerCmd})
 	if err != nil {
 		return ServeRow{}, err
 	}

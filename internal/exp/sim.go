@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"ttastartup/internal/obs"
 	"ttastartup/internal/sim/mcfi"
 )
 
@@ -99,7 +100,7 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 
 	// 1. Throughput.
 	begin := time.Now()
-	tp, err := mcfi.Run(ctx, tpSpec, mcfi.RunOptions{Workers: workers, Scope: Obs})
+	tp, err := mcfi.Run(ctx, tpSpec, mcfi.RunOptions{Workers: workers})
 	if err != nil {
 		return nil, "", fmt.Errorf("sim throughput: %w", err)
 	}
@@ -121,7 +122,7 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 
 	// 2. Coverage vs the verified model at a small scope.
 	begin = time.Now()
-	cov, err := mcfi.Run(ctx, covSpec, mcfi.RunOptions{Workers: workers, Scope: Obs})
+	cov, err := mcfi.Run(ctx, covSpec, mcfi.RunOptions{Workers: workers})
 	if err != nil {
 		return nil, "", fmt.Errorf("sim coverage campaign: %w", err)
 	}
@@ -167,7 +168,7 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 		if len(entries) == 0 {
 			continue
 		}
-		results, err := mcfi.ReplayCorpusCtx(ctx, c.spec, entries, workers, Obs)
+		results, err := mcfi.ReplayCorpusCtx(ctx, c.spec, entries, workers, obs.Scope{})
 		if err != nil {
 			return nil, "", fmt.Errorf("sim replay: %w", err)
 		}

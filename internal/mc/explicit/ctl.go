@@ -1,6 +1,7 @@
 package explicit
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"time"
@@ -13,9 +14,15 @@ import (
 // explicit fixpoint iteration — the reference implementation the symbolic
 // evaluator is cross-checked against.
 func CheckCTL(sys *gcl.System, name string, f *mc.CTLFormula, opts Options) (*mc.Result, error) {
+	return CheckCTLCtx(context.Background(), sys, name, f, opts)
+}
+
+// CheckCTLCtx is CheckCTL with cancellation plumbed into the state-graph
+// exploration.
+func CheckCTLCtx(ctx context.Context, sys *gcl.System, name string, f *mc.CTLFormula, opts Options) (*mc.Result, error) {
 	start := time.Now()
 	opts.StoreEdges = true
-	g, err := Explore(sys, opts)
+	g, err := ExploreCtx(ctx, sys, opts)
 	if err != nil {
 		return nil, err
 	}

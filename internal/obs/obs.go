@@ -28,7 +28,7 @@ type Scope struct {
 func (s Scope) Enabled() bool { return s.Reg != nil || s.Trace != nil }
 
 // Canonical metric names. Components publish under these so front-ends
-// (heartbeat, /metricsz, BENCH_obs.json) can rely on stable keys.
+// (heartbeat, /metricsz, -metrics dumps) can rely on stable keys.
 const (
 	// SAT backend (flushed per Solve call by mc.SATTap).
 	MSATQueries      = "sat.queries"
