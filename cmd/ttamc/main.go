@@ -9,7 +9,7 @@
 //	ttamc -n 3 -no-big-bang -faulty-hub 0 -lemma safety -cex     (Section 5.2)
 //	ttamc -n 3 -engine bmc -depth 20 -lemma safety
 //	ttamc -n 3 -wcsup                                            (Section 5.3)
-//	ttamc -n 3 -restartable -recovery                            (Section 2.1 restart)
+//	ttamc -n 3 -restartable -lemma recovery                      (Section 2.1 restart)
 //	ttamc -n 3 -no-interlinks -faulty-node 1 -lemma sanity       (future-work variant)
 //	ttamc -n 3 -dump-model                                       (SAL-like model dump)
 //	ttamc -model bus -lemma safety -engine ic3                   (original bus design)
@@ -60,13 +60,12 @@ func run(args []string) (err error) {
 		noCSWin    = fs.Bool("no-cs-window", false, "ablation: drop the nodes' cold-start acceptance window")
 		noWatchdog = fs.Bool("no-watchdog", false, "ablation: drop the guardians' ACTIVE silence watchdog")
 		dumpModel  = fs.Bool("dump-model", false, "print the model in guarded-command (SAL-like) form and exit")
-		lemmas     = fs.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity")
+		lemmas     = fs.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity, recovery (CTL AG(AF all-active))")
 		engine     = fs.String("engine", "symbolic", "engine: symbolic, explicit, bmc, induction, ic3")
 		depth      = fs.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
 		bound      = fs.Int("bound", 0, "timeliness bound in slots (0: w_sup + round)")
 		cex        = fs.Bool("cex", false, "print counterexample traces")
 		wcsup      = fs.Bool("wcsup", false, "explore the worst-case startup time (Section 5.3)")
-		recovery   = fs.Bool("recovery", false, "check the CTL recovery property AG(AF all-active)")
 		restart    = fs.Bool("restartable", false, "allow one transient restart per correct node (the Section 2.1 restart problem)")
 		count      = fs.Bool("count", false, "report the exact reachable-state count")
 		timeout    = fs.Duration("timeout", 0, "per-lemma budget; exceeding it reports INCONCLUSIVE (deadline) (0: none)")
@@ -119,8 +118,8 @@ func run(args []string) (err error) {
 		if !degSet {
 			*degree = 3
 		}
-		if *faultyHub >= 0 || *wcsup || *recovery || *count || *restart {
-			return fmt.Errorf("-faulty-hub, -wcsup, -recovery, -count and -restartable apply to the hub model only")
+		if *faultyHub >= 0 || *wcsup || *count || *restart {
+			return fmt.Errorf("-faulty-hub, -wcsup, -count and -restartable apply to the hub model only")
 		}
 		return runBus(scope, *n, *faultyNode, *degree, *deltaInit, *lemmas,
 			*engine, *depth, *nodeLimit, *reorder, *optimize, *cex, *dumpModel, *lintMode, *timeout)
@@ -199,18 +198,6 @@ func run(args []string) (err error) {
 	eng, err := core.ParseEngine(*engine)
 	if err != nil {
 		return err
-	}
-
-	if *recovery {
-		res, err := suite.CheckRecovery(eng)
-		if err != nil {
-			return err
-		}
-		printResult(res)
-		if !res.Holds() {
-			return fmt.Errorf("recovery property violated")
-		}
-		return nil
 	}
 
 	list, err := core.ParseLemmas(*lemmas)

@@ -16,3 +16,15 @@ func TestTimeoutIsInconclusive(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryLemma: the CTL recovery property is an ordinary -lemma on
+// the hub model, and the bus model, which has no such lemma, refuses it.
+func TestRecoveryLemma(t *testing.T) {
+	if err := run([]string{"-n", "3", "-restartable", "-delta-init", "4", "-lemma", "recovery"}); err != nil {
+		t.Errorf("hub -lemma recovery: %v", err)
+	}
+	err := run([]string{"-model", "bus", "-lemma", "recovery"})
+	if err == nil || !strings.Contains(err.Error(), "no lemma recovery") {
+		t.Errorf("bus -lemma recovery: err = %v, want no lemma recovery", err)
+	}
+}

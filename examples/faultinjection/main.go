@@ -53,15 +53,15 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("symbolic engine covers ALL %v reachable states:\n", count)
-	report, err := suite.ExhaustiveFaultSimulation(core.LemmaSafety, core.LemmaTimeliness)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, r := range report.Results {
+	for _, l := range []core.Lemma{core.LemmaSafety, core.LemmaTimeliness} {
+		r, err := suite.CheckCtx(context.Background(), l, core.EngineSymbolic)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Println(" ", r)
-	}
-	if !report.AllHold() {
-		log.Fatal("unexpected violation")
+		if !r.Holds() {
+			log.Fatal("unexpected violation")
+		}
 	}
 	fmt.Println("\nthe proof covers every scenario of its configuration; the campaign only samples.")
 }

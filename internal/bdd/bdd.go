@@ -215,11 +215,6 @@ func (m *Manager) NumVars() int { return int(m.nvars) }
 // including the two terminals.
 func (m *Manager) NumNodes() int { return m.used - len(m.free) }
 
-// Level returns the level (position in the current variable order)
-// labelling f, or NumVars for terminals. Until a reorder has run, level
-// and variable index coincide; use VarLevel/VarAt to convert afterwards.
-func (m *Manager) Level(f Ref) int { return int(m.node(f).level) }
-
 // VarLevel returns the current level of variable i.
 func (m *Manager) VarLevel(i int) int { return int(m.var2level[i]) }
 
@@ -235,12 +230,6 @@ func (m *Manager) VarOrder() []int {
 	}
 	return out
 }
-
-// Low and High return the cofactors of a non-terminal node.
-func (m *Manager) Low(f Ref) Ref { return m.node(f).low }
-
-// High returns the positive cofactor of a non-terminal node.
-func (m *Manager) High(f Ref) Ref { return m.node(f).high }
 
 // Var returns the BDD for variable i.
 func (m *Manager) Var(i int) Ref {

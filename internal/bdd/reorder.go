@@ -13,7 +13,7 @@ import (
 //
 // The swap rewrites every node at the upper level IN PLACE, so external
 // Refs keep denoting the same boolean function throughout — callers never
-// see a reorder happen except through Level/VarLevel. Reordering has the
+// see a reorder happen except through VarLevel/VarAt. Reordering has the
 // same caller contract as GC (it starts and ends with one): no unprotected
 // intermediate results may be live when it runs. The manager therefore
 // never reorders inside an operation; it only flags a reorder as pending

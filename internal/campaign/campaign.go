@@ -57,11 +57,6 @@ type Job struct {
 	Restartable  bool `json:"restartable,omitempty"` // one transient reset per correct node
 }
 
-// LemmaRecovery names the CTL recovery property AG(AF all-active) of the
-// restart problem (core.Suite.CheckRecovery), checkable on hub jobs with
-// the engines that evaluate CTL (symbolic, explicit).
-const LemmaRecovery = "recovery"
-
 // ID returns the job's canonical identity, a stable human-readable string
 // used as the primary key of the result store.
 func (j Job) ID() string {

@@ -303,7 +303,7 @@ func TestRecoveryJobDeadline(t *testing.T) {
 	for _, engine := range []string{"symbolic", "explicit"} {
 		job := Job{
 			Topology: TopologyHub, N: 3, BigBang: true, FaultyNode: -1, FaultyHub: -1,
-			DeltaInit: 4, Lemma: LemmaRecovery, Engine: engine, Restartable: true,
+			DeltaInit: 4, Lemma: "recovery", Engine: engine, Restartable: true,
 		}
 		rec, err := ExecuteJob(context.Background(), job, RunOptions{Timeout: 20 * time.Millisecond})
 		if err != nil {

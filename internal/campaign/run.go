@@ -318,24 +318,11 @@ func traceDigest(sys *gcl.System, t *mc.Trace) string {
 
 // CheckJob checks one job on a private model, so concurrent jobs share
 // nothing: JobModel, then core.Check with opts (BMCDepth defaults to the
-// model's 2·w_sup). The CTL lemma LemmaRecovery goes to
-// core.Suite.CheckRecoveryCtx instead. It returns the result and the checked
-// source system.
+// model's 2·w_sup). It returns the result and the checked source system.
 func CheckJob(ctx context.Context, job Job, opts core.Options) (*mc.Result, *gcl.System, error) {
 	eng, err := core.ParseEngine(job.Engine)
 	if err != nil {
 		return nil, nil, err
-	}
-	if job.Lemma == LemmaRecovery {
-		if job.Topology != TopologyHub {
-			return nil, nil, fmt.Errorf("campaign: %s topology has no lemma %q", job.Topology, job.Lemma)
-		}
-		suite, err := core.NewSuite(HubConfig(job), opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := suite.CheckRecoveryCtx(ctx, eng)
-		return res, suite.Model.Sys, err
 	}
 	sys, prop, depth, err := JobModel(job, opts)
 	if err != nil {

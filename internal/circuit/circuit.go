@@ -32,9 +32,6 @@ func (l Lit) node() uint32 { return uint32(l) >> 1 }
 // neg reports whether l is complemented.
 func (l Lit) neg() bool { return l&1 == 1 }
 
-// IsConst reports whether l is one of the constants True or False.
-func (l Lit) IsConst() bool { return l.node() == 0 }
-
 // Complemented reports whether l is a complemented edge.
 func (l Lit) Complemented() bool { return l.neg() }
 
@@ -90,9 +87,6 @@ func (b *Builder) Input() Lit {
 	b.inputs = append(b.inputs, l)
 	return l
 }
-
-// InputLit returns the literal for input id (panics if out of range).
-func (b *Builder) InputLit(id int) Lit { return b.inputs[id] }
 
 // InputID returns the primary-input ID of l's node and true, or 0 and false
 // if l does not refer to an input node.
@@ -249,29 +243,6 @@ func (b *Builder) Support(l Lit) []int {
 	walk(l)
 	sortInts(ids)
 	return ids
-}
-
-// ConeSize returns the number of distinct AND nodes in the cone of l.
-func (b *Builder) ConeSize(l Lit) int {
-	seen := make(map[uint32]bool, 64)
-	count := 0
-	var walk func(Lit)
-	walk = func(l Lit) {
-		n := l.node()
-		if n == 0 || seen[n] {
-			return
-		}
-		seen[n] = true
-		rec := b.nodes[n]
-		if rec.aux != 0 {
-			return
-		}
-		count++
-		walk(rec.in0)
-		walk(rec.in1)
-	}
-	walk(l)
-	return count
 }
 
 func sortInts(a []int) {

@@ -73,7 +73,8 @@ func (t *target) optimize(prop mc.Property) (*target, error) {
 // Check verifies prop on sys with one engine. It is the one verification
 // pipeline, which every front end runs:
 //
-//  1. opt (Options.Opt): slice and narrow sys to prop's cone;
+//  1. opt (Options.Opt): slice and narrow sys to prop's cone (a CTL
+//     formula's: the union cone of its atoms);
 //  2. l2s (an eventuality on k-induction or IC3): reduce AF p to the
 //     safety invariant of the liveness-to-safety product;
 //  3. the engine;
@@ -145,27 +146,36 @@ func check(ctx context.Context, src *target, prop mc.Property, e Engine, opts Op
 
 // engine is the one engine switch. An eventuality reaches it only on the
 // symbolic, explicit and BMC engines; check has already reduced it to an
-// invariant for the other two.
+// invariant for the other two. A CTL formula runs only on the symbolic and
+// explicit engines, the two with CTL evaluators.
 func (t *target) engine(ctx context.Context, prop mc.Property, e Engine, opts Options, simplePath bool) (*mc.Result, error) {
-	live := prop.Kind == mc.Eventually
+	if prop.Kind == mc.CTL && e != EngineSymbolic && e != EngineExplicit {
+		return nil, fmt.Errorf("core: engine %v has no CTL evaluator", e)
+	}
 	switch e {
 	case EngineSymbolic:
 		eng, err := t.symbolic(opts.Symbolic)
 		if err != nil {
 			return nil, err
 		}
-		if live {
+		switch prop.Kind {
+		case mc.CTL:
+			return eng.CheckCTLCtx(ctx, prop.Name, prop.CTL)
+		case mc.Eventually:
 			return eng.CheckEventuallyCtx(ctx, prop)
 		}
 		return eng.CheckInvariantCtx(ctx, prop)
 	case EngineExplicit:
-		if live {
+		switch prop.Kind {
+		case mc.CTL:
+			return explicit.CheckCTLCtx(ctx, t.sys, prop.Name, prop.CTL, opts.Explicit)
+		case mc.Eventually:
 			return explicit.CheckEventuallyCtx(ctx, t.sys, prop, opts.Explicit)
 		}
 		return explicit.CheckInvariantCtx(ctx, t.sys, prop, opts.Explicit)
 	case EngineBMC:
 		bo := bmc.Options{MaxDepth: opts.BMCDepth, Obs: opts.Obs}
-		if live {
+		if prop.Kind == mc.Eventually {
 			return bmc.CheckEventuallyRefuteCtx(ctx, t.compiled(), prop, bo)
 		}
 		return bmc.CheckInvariantCtx(ctx, t.compiled(), prop, bo)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -37,7 +36,7 @@ type WorstCaseResult struct {
 // (the paper "set it first to some small explicit value, e.g. 12"); 0
 // means half the paper's prediction.
 func (s *Suite) WorstCaseStartup(startFrom int) (*WorstCaseResult, error) {
-	eng, err := s.Symbolic()
+	eng, err := s.symbolic()
 	if err != nil {
 		return nil, err
 	}
@@ -62,57 +61,6 @@ func (s *Suite) WorstCaseStartup(startFrom int) (*WorstCaseResult, error) {
 		}
 	}
 	return nil, fmt.Errorf("core: no finite startup bound below %d (timeliness violated everywhere)", maxBound)
-}
-
-// FaultSimReport is the outcome of an exhaustive fault simulation run
-// (Section 5.4): the verdict and statistics for each lemma at the
-// configured fault degree.
-type FaultSimReport struct {
-	Cfg     startup.Config
-	Results []*mc.Result
-}
-
-// AllHold reports whether every lemma held.
-func (r *FaultSimReport) AllHold() bool {
-	for _, res := range r.Results {
-		if !res.Holds() {
-			return false
-		}
-	}
-	return true
-}
-
-// ExhaustiveFaultSimulation runs the paper's headline experiment for one
-// configuration: every hypothesised fault mode of the designated faulty
-// component is modelled and all scenarios are examined by the symbolic
-// engine. Pass the lemmas to check (defaults to safety, liveness,
-// timeliness for a faulty node, and safety-2 for a faulty hub, mirroring
-// Figs. 6(a)-(d)).
-func (s *Suite) ExhaustiveFaultSimulation(lemmas ...Lemma) (*FaultSimReport, error) {
-	return s.ExhaustiveFaultSimulationCtx(context.Background(), lemmas...)
-}
-
-// ExhaustiveFaultSimulationCtx is ExhaustiveFaultSimulation under a
-// context; cancellation interrupts the symbolic fixpoint mid-lemma.
-func (s *Suite) ExhaustiveFaultSimulationCtx(ctx context.Context, lemmas ...Lemma) (*FaultSimReport, error) {
-	if len(lemmas) == 0 {
-		lemmas = DefaultFaultSimLemmas(s.Cfg)
-	}
-	results, err := s.CheckAllCtx(ctx, EngineSymbolic, lemmas...)
-	if err != nil {
-		return nil, err
-	}
-	return &FaultSimReport{Cfg: s.Cfg, Results: results}, nil
-}
-
-// DefaultFaultSimLemmas returns the lemma set the paper checks for a
-// configuration: safety-2 against a faulty hub, otherwise safety, liveness
-// and timeliness (Figs. 6(a)-(d)).
-func DefaultFaultSimLemmas(cfg startup.Config) []Lemma {
-	if cfg.FaultyHub >= 0 {
-		return []Lemma{LemmaSafety2}
-	}
-	return []Lemma{LemmaSafety, LemmaLiveness, LemmaTimeliness}
 }
 
 // BigBangResult is the outcome of the Section 5.2 design exploration: with

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"ttastartup/internal/gcl"
@@ -184,8 +185,10 @@ func TestOptVerdictMatrixBus(t *testing.T) {
 }
 
 // TestOptRecoveryCTL compares the CTL stabilisation property with and
-// without the optimizer on both CTL-capable engines.
+// without the optimizer on both CTL-capable engines, and requires every
+// other engine to refuse it.
 func TestOptRecoveryCTL(t *testing.T) {
+	ctx := context.Background()
 	cfg := startup.DefaultConfig(3)
 	cfg.DeltaInit = 3
 	base, err := NewSuite(cfg, Options{})
@@ -197,11 +200,11 @@ func TestOptRecoveryCTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []Engine{EngineSymbolic, EngineExplicit} {
-		rb, err := base.CheckRecovery(e)
+		rb, err := base.CheckCtx(ctx, LemmaRecovery, e)
 		if err != nil {
 			t.Fatalf("%v baseline: %v", e, err)
 		}
-		ro, err := optd.CheckRecovery(e)
+		ro, err := optd.CheckCtx(ctx, LemmaRecovery, e)
 		if err != nil {
 			t.Fatalf("%v optimized: %v", e, err)
 		}
@@ -211,13 +214,34 @@ func TestOptRecoveryCTL(t *testing.T) {
 		if ro.Stats.OptBitsSaved <= 0 {
 			t.Errorf("%v: optimized recovery run reports no bits saved", e)
 		}
+		if rb.Property.Name != "recovery AG(AF all-active)" || rb.Property.Kind != mc.CTL {
+			t.Errorf("%v: result property %q kind %v", e, rb.Property.Name, rb.Property.Kind)
+		}
 	}
 	for _, e := range []Engine{EngineBMC, EngineInduction, EngineIC3} {
-		if _, err := base.CheckRecovery(e); err == nil {
-			t.Errorf("%v accepted a CTL formula", e)
+		if _, err := base.CheckCtx(ctx, LemmaRecovery, e); err == nil || !strings.Contains(err.Error(), "has no CTL evaluator") {
+			t.Errorf("%v on a CTL formula: %v", e, err)
 		}
-		if _, err := optd.CheckRecovery(e); err == nil {
-			t.Errorf("%v accepted a CTL formula under -opt", e)
+		if _, err := optd.CheckCtx(ctx, LemmaRecovery, e); err == nil || !strings.Contains(err.Error(), "has no CTL evaluator") {
+			t.Errorf("%v on a CTL formula under -opt: %v", e, err)
+		}
+	}
+}
+
+// TestCheckCTLOnSATEngines: core.Check refuses a CTL property on each SAT
+// engine, which has no CTL evaluator, with and without the optimizer.
+func TestCheckCTLOnSATEngines(t *testing.T) {
+	m, err := startup.Build(startup.DefaultConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prop := mc.Property{Name: "recovery", Kind: mc.CTL, CTL: m.Recovery()}
+	for _, e := range []Engine{EngineBMC, EngineInduction, EngineIC3} {
+		for _, o := range []bool{false, true} {
+			_, err := Check(context.Background(), m.Sys, prop, e, Options{BMCDepth: 4, Opt: o})
+			if err == nil || !strings.Contains(err.Error(), "has no CTL evaluator") {
+				t.Errorf("%v (opt=%v) on a CTL formula: %v", e, o, err)
+			}
 		}
 	}
 }
@@ -283,14 +307,19 @@ func TestOptInflatesLassoTrace(t *testing.T) {
 	}
 }
 
-// TestOptReportWithoutRouting: OptReport exposes the reductions even when
-// checks are not routed through the optimizer.
+// TestOptReportWithoutRouting: OptimizeProp exposes the reductions of a
+// lemma's cone without routing checks through the optimizer.
 func TestOptReportWithoutRouting(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3))
-	rep, err := s.OptReport(LemmaSafety)
+	prop, err := s.Property(LemmaSafety)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o, _, err := OptimizeProp(s.Model.Sys, prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := o.Report
 	if rep.BitsSaved() <= 0 {
 		t.Errorf("expected bit savings on the hub safety cone, got %d (summary %s)",
 			rep.BitsSaved(), rep.Summary())

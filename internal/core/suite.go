@@ -1,9 +1,10 @@
 // Package core is the top-level verification API of the reproduction: it
-// binds the TTA startup model to the three model-checking engines and
-// exposes the paper's experiments — checking the four lemmas (Section 4),
-// exhaustive fault simulation at a chosen fault degree (Section 5.4),
-// worst-case-startup-time exploration (Section 5.3), and the big-bang
-// design-exploration experiment (Section 5.2).
+// binds the TTA startup model to the model-checking engines through one
+// pipeline (Check) and exposes the paper's experiments — checking the
+// four lemmas (Section 4), and with them every lemma of a configuration
+// at a chosen fault degree, the exhaustive fault simulation of Section
+// 5.4; worst-case-startup-time exploration (Section 5.3); and the
+// big-bang design-exploration experiment (Section 5.2).
 package core
 
 import (
@@ -45,6 +46,10 @@ const (
 	LemmaHubsAgree
 	// LemmaNodeHubAgree: active nodes and guardians agree on the schedule.
 	LemmaNodeHubAgree
+	// LemmaRecovery is the CTL stabilisation property AG(AF all-active) of
+	// the Section 2.1 restart problem, evaluated by the symbolic and
+	// explicit engines only.
+	LemmaRecovery
 )
 
 func (l Lemma) String() string {
@@ -65,6 +70,8 @@ func (l Lemma) String() string {
 		return "hubs-agree"
 	case LemmaNodeHubAgree:
 		return "node-hub-agree"
+	case LemmaRecovery:
+		return "recovery"
 	default:
 		return fmt.Sprintf("Lemma(%d)", int(l))
 	}
@@ -98,6 +105,8 @@ func ParseLemmas(spec string) ([]Lemma, error) {
 			out = append(out, LemmaHubsAgree)
 		case "node-hub-agree":
 			out = append(out, LemmaNodeHubAgree)
+		case "recovery":
+			out = append(out, LemmaRecovery)
 		case "all":
 			out = append(out, AllLemmas()...)
 		case "sanity":
@@ -181,22 +190,6 @@ func ParseEngine(name string) (Engine, error) {
 	}
 }
 
-// ParseEngines resolves a comma-separated engine list.
-func ParseEngines(spec string) ([]Engine, error) {
-	var out []Engine
-	for _, name := range strings.Split(spec, ",") {
-		if strings.TrimSpace(name) == "" {
-			continue
-		}
-		e, err := ParseEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // Options tunes a verification suite.
 type Options struct {
 	// Symbolic configures the BDD engine.
@@ -237,15 +230,15 @@ func (o *Options) normalize() {
 
 // Suite verifies the startup model of one configuration. Engines and the
 // compiled form are constructed lazily and cached; in particular the
-// symbolic engine's reachable set is shared by all invariant checks, and
-// with Options.Opt each lemma keeps its own optimized system and engine.
+// symbolic engine's reachable set is shared by all checks of the source
+// model, and with Options.Opt each lemma keeps its own optimized system and
+// engine.
 type Suite struct {
 	Cfg   startup.Config
 	Model *startup.Model
 	opts  Options
 
-	src      *target // the source model and its per-lemma optimized targets
-	recovery *target // the system optimized for the CTL recovery property
+	src *target // the source model and its per-lemma optimized targets
 }
 
 // NewSuite builds the model for cfg and prepares a verification suite.
@@ -270,8 +263,8 @@ func (s *Suite) Compiled() *gcl.Compiled {
 	return s.source().compiled()
 }
 
-// Symbolic returns the shared symbolic engine, building it on first use.
-func (s *Suite) Symbolic() (*symbolic.Engine, error) {
+// symbolic returns the shared symbolic engine, building it on first use.
+func (s *Suite) symbolic() (*symbolic.Engine, error) {
 	return s.source().symbolic(s.opts.Symbolic)
 }
 
@@ -306,6 +299,8 @@ func (s *Suite) Property(l Lemma) (mc.Property, error) {
 		return m.HubsAgree(), nil
 	case LemmaNodeHubAgree:
 		return m.NodeHubAgree(), nil
+	case LemmaRecovery:
+		return mc.Property{Name: "recovery AG(AF all-active)", Kind: mc.CTL, CTL: m.Recovery()}, nil
 	default:
 		return mc.Property{}, fmt.Errorf("core: unknown lemma %v", l)
 	}
@@ -331,31 +326,9 @@ func (s *Suite) CheckCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, er
 	return check(ctx, s.source(), prop, e, opts)
 }
 
-// CheckAll verifies the given lemmas with one engine, in order.
-func (s *Suite) CheckAll(e Engine, lemmas ...Lemma) ([]*mc.Result, error) {
-	return s.CheckAllCtx(context.Background(), e, lemmas...)
-}
-
-// CheckAllCtx verifies the given lemmas with one engine, in order, stopping
-// at the first cancellation.
-func (s *Suite) CheckAllCtx(ctx context.Context, e Engine, lemmas ...Lemma) ([]*mc.Result, error) {
-	if len(lemmas) == 0 {
-		lemmas = AllLemmas()
-	}
-	out := make([]*mc.Result, 0, len(lemmas))
-	for _, l := range lemmas {
-		res, err := s.CheckCtx(ctx, l, e)
-		if err != nil {
-			return out, fmt.Errorf("core: %v: %w", l, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}
-
 // CountStates returns the exact reachable-state count (symbolic engine).
 func (s *Suite) CountStates() (*big.Int, error) {
-	eng, err := s.Symbolic()
+	eng, err := s.symbolic()
 	if err != nil {
 		return nil, err
 	}

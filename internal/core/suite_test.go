@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"ttastartup/internal/mc"
@@ -23,11 +24,11 @@ func quick(t *testing.T, cfg startup.Config) *Suite {
 
 func TestCheckAllLemmasSymbolic(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3).WithFaultyNode(1))
-	results, err := s.CheckAll(EngineSymbolic, LemmaSafety, LemmaLiveness, LemmaTimeliness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
+	for _, l := range []Lemma{LemmaSafety, LemmaLiveness, LemmaTimeliness} {
+		r, err := s.CheckCtx(context.Background(), l, EngineSymbolic)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Holds() {
 			t.Errorf("%s: %v", r.Property.Name, r.Verdict)
 		}
@@ -47,11 +48,11 @@ func TestCheckSafety2FaultyHub(t *testing.T) {
 
 func TestSanityLemmas(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3))
-	results, err := s.CheckAll(EngineSymbolic, SanityLemmas()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
+	for _, l := range SanityLemmas() {
+		r, err := s.CheckCtx(context.Background(), l, EngineSymbolic)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !r.Holds() {
 			t.Errorf("%s: %v", r.Property.Name, r.Verdict)
 		}
@@ -176,26 +177,6 @@ func TestWorstCaseStartup(t *testing.T) {
 	}
 }
 
-func TestExhaustiveFaultSimulationDefaults(t *testing.T) {
-	s := quick(t, startup.DefaultConfig(3).WithFaultyNode(1))
-	rep, err := s.ExhaustiveFaultSimulation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 3 || !rep.AllHold() {
-		t.Errorf("faulty-node report: %d results, allHold=%v", len(rep.Results), rep.AllHold())
-	}
-
-	sh := quick(t, startup.DefaultConfig(3).WithFaultyHub(1))
-	repH, err := sh.ExhaustiveFaultSimulation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(repH.Results) != 1 || !repH.AllHold() {
-		t.Errorf("faulty-hub report: %d results, allHold=%v", len(repH.Results), repH.AllHold())
-	}
-}
-
 func TestBigBangExploration(t *testing.T) {
 	cfg := startup.DefaultConfig(3).WithFaultyHub(0)
 	cfg.DeltaInit = 6
@@ -235,6 +216,9 @@ func TestLemmaAndEngineStrings(t *testing.T) {
 	}
 	if len(AllLemmas()) != 4 || len(SanityLemmas()) != 4 {
 		t.Error("lemma lists broken")
+	}
+	if l, err := ParseLemmas("recovery"); err != nil || len(l) != 1 || l[0] != LemmaRecovery || l[0].String() != "recovery" {
+		t.Errorf("ParseLemmas(recovery) = %v, %v", l, err)
 	}
 }
 

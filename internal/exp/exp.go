@@ -356,9 +356,9 @@ func Ablation(ctx context.Context, scale Scale, n, workers int) ([]Row, []campai
 // Restart verifies the Section 2.1 restart problem (an extension
 // experiment): with one transient reset allowed per correct node, the
 // safety and liveness lemmas and the CTL recovery property AG(AF
-// all-active) (lemma campaign.LemmaRecovery) must hold. The three checks
-// share one suite, so the symbolic engine builds the reachable set once;
-// as three campaign jobs each would rebuild it.
+// all-active) (core.LemmaRecovery) must hold. The three checks share one
+// suite, so the symbolic engine builds the reachable set once; as three
+// campaign jobs each would rebuild it.
 func Restart(ctx context.Context, scale Scale, n int) ([]Row, string, error) {
 	job := campaign.Job{
 		Topology: campaign.TopologyHub, N: n, BigBang: true, FaultyNode: -1, FaultyHub: -1,
@@ -369,21 +369,13 @@ func Restart(ctx context.Context, scale Scale, n int) ([]Row, string, error) {
 		return nil, "", err
 	}
 	var rows []Row
-	for _, lemma := range []string{"safety", "liveness", campaign.LemmaRecovery} {
-		var res *mc.Result
-		switch lemma {
-		case campaign.LemmaRecovery:
-			res, err = s.CheckRecoveryCtx(ctx, core.EngineSymbolic)
-		case "safety":
-			res, err = s.CheckCtx(ctx, core.LemmaSafety, core.EngineSymbolic)
-		default:
-			res, err = s.CheckCtx(ctx, core.LemmaLiveness, core.EngineSymbolic)
-		}
+	for _, l := range []core.Lemma{core.LemmaSafety, core.LemmaLiveness, core.LemmaRecovery} {
+		res, err := s.CheckCtx(ctx, l, core.EngineSymbolic)
 		if err != nil {
-			return nil, "", fmt.Errorf("restart %s: %w", lemma, err)
+			return nil, "", fmt.Errorf("restart %v: %w", l, err)
 		}
 		rows = append(rows, Row{
-			Model: design(job), N: n, Lemma: lemma, Engine: job.Engine,
+			Model: design(job), N: n, Lemma: l.String(), Engine: job.Engine,
 			Verdict: res.Verdict.String(), Holds: res.Holds(), CPUMS: res.Stats.Duration.Milliseconds(),
 			Reachable: res.Stats.Reachable.String(), BDDVars: res.Stats.BDDVars,
 		})

@@ -150,15 +150,16 @@ func TestFeedbackAblationExperiment(t *testing.T) {
 // TestRestartExperiment pins the Section 2.1 restart problem: safety,
 // liveness and the CTL recovery property AG(AF all-active) hold on the
 // restartable n=3 model, all three over the one reachable set. A recovery
-// job on an engine without a CTL evaluator fails with the error only
-// core.Suite.CheckRecoveryCtx gives, so the lemma is routed through it.
+// job on an engine without a CTL evaluator fails with the error only the
+// CTL case of core.Check's engine switch gives, so the lemma is routed
+// through it.
 func TestRestartExperiment(t *testing.T) {
 	t.Parallel() // beside the ablation's long single-job tail
 	rows, table, err := Restart(context.Background(), Quick, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"safety", "liveness", campaign.LemmaRecovery}
+	want := []string{"safety", "liveness", "recovery"}
 	if len(rows) != len(want) {
 		t.Fatalf("rows: %d\n%s", len(rows), table)
 	}
@@ -173,7 +174,7 @@ func TestRestartExperiment(t *testing.T) {
 
 	job := campaign.Job{
 		Topology: campaign.TopologyHub, N: 3, BigBang: true, FaultyNode: -1, FaultyHub: -1,
-		DeltaInit: 4, Lemma: campaign.LemmaRecovery, Engine: "bmc", Restartable: true,
+		DeltaInit: 4, Lemma: "recovery", Engine: "bmc", Restartable: true,
 	}
 	rec, err := campaign.ExecuteJob(context.Background(), job, campaign.RunOptions{})
 	if err != nil {

@@ -71,14 +71,6 @@ func (s *System) Modules() []*Module {
 	return out
 }
 
-// EvalOrder returns the modules in evaluation (topological) order. Only
-// valid after Finalize.
-func (s *System) EvalOrder() []*Module {
-	out := make([]*Module, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
 // Finalize validates the system, assigns variable IDs, and computes the
 // module evaluation order. It must be called exactly once, before analysis.
 func (s *System) Finalize() error {

@@ -259,6 +259,3 @@ func (c *Checker) fillStats(st *mc.Stats, depth int) {
 	st.Iterations = depth
 	c.tap.FillStats(st)
 }
-
-// NumSATVars exposes the solver's variable count (diagnostics).
-func (c *Checker) NumSATVars() int { return c.solver.NumVars() }

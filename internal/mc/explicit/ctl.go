@@ -28,7 +28,7 @@ func CheckCTLCtx(ctx context.Context, sys *gcl.System, name string, f *mc.CTLFor
 	}
 	sat := evalCTL(g, f)
 
-	prop := mc.Property{Name: name, Kind: mc.Invariant, Pred: gcl.True()}
+	prop := mc.Property{Name: name, Kind: mc.CTL, CTL: f}
 	res := &mc.Result{
 		Property: prop,
 		Verdict:  mc.Holds,

@@ -12,9 +12,9 @@ import (
 	"ttastartup/internal/gcl"
 )
 
-// PropertyKind distinguishes the two LTL shapes the engines support, the
-// same two used by the paper's lemmas: invariants G(p) and inevitability
-// F(p) (on all paths, i.e. CTL AF p).
+// PropertyKind distinguishes the property shapes the engines support: the
+// two LTL shapes the paper's lemmas use, invariants G(p) and inevitability
+// F(p) (on all paths, i.e. CTL AF p), and a general CTL formula.
 type PropertyKind int
 
 // Property kinds.
@@ -23,6 +23,9 @@ const (
 	Invariant PropertyKind = iota + 1
 	// Eventually is F(p) over all paths (AF p): every execution reaches p.
 	Eventually
+	// CTL is the formula Property.CTL, required of every initial state.
+	// Only the symbolic and explicit engines evaluate it.
+	CTL
 )
 
 func (k PropertyKind) String() string {
@@ -31,20 +34,27 @@ func (k PropertyKind) String() string {
 		return "G"
 	case Eventually:
 		return "F"
+	case CTL:
+		return "CTL"
 	default:
 		return fmt.Sprintf("PropertyKind(%d)", int(k))
 	}
 }
 
-// Property is a named temporal property over a system's state variables.
+// Property is a named temporal property over a system's state variables:
+// Pred for the G and F kinds, CTL for the CTL kind.
 type Property struct {
 	Name string
 	Kind PropertyKind
 	Pred gcl.Expr
+	CTL  *CTLFormula
 }
 
 // String renders the property in LTL-ish notation.
 func (p Property) String() string {
+	if p.Kind == CTL {
+		return fmt.Sprintf("%s: %s", p.Name, p.CTL)
+	}
 	return fmt.Sprintf("%s: %s(%s)", p.Name, p.Kind, p.Pred)
 }
 

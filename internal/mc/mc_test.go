@@ -23,6 +23,10 @@ func TestPropertyString(t *testing.T) {
 	if got := p.String(); !strings.Contains(got, "F(") {
 		t.Errorf("Property.String = %q", got)
 	}
+	c := mc.Property{Name: "rec", Kind: mc.CTL, CTL: mc.CTLAG(mc.CTLAF(mc.CTLAtom(p.Pred)))}
+	if got := c.String(); !strings.HasPrefix(got, "rec: AG") || mc.CTL.String() != "CTL" {
+		t.Errorf("CTL Property.String = %q", got)
+	}
 }
 
 func TestVerdictStrings(t *testing.T) {

@@ -137,9 +137,6 @@ func (t *SATTap) Flush() {
 	t.lastConf, t.lastProp, t.lastDec, t.lastRest, t.lastLearnt = conf, prop, dec, rest, learnt
 }
 
-// Queries returns the number of Solve calls issued through the tap.
-func (t *SATTap) Queries() int { return t.queries }
-
 // FillStats adds the tap's query count and the solver's cumulative
 // search counters into st. Engines with several solvers (k-induction's
 // base and step checkers) call it once per tap; the fields accumulate.

@@ -29,7 +29,7 @@ func (e *Engine) CheckCTLCtx(ctx context.Context, name string, f *mc.CTLFormula)
 		run.Abort(err)
 		return nil, err
 	}
-	prop := mc.Property{Name: name, Kind: mc.Invariant, Pred: gcl.True()}
+	prop := mc.Property{Name: name, Kind: mc.CTL, CTL: f}
 	res := &mc.Result{Property: prop, Verdict: mc.Holds}
 	err = e.guard(func() {
 		sat := e.evalCTL(ctx, f, reach)

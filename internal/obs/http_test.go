@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -50,6 +53,61 @@ func TestServeDebugMetricsz(t *testing.T) {
 		t.Fatalf("/debug/pprof/ status %d", resp2.StatusCode)
 	}
 	io.Copy(io.Discard, resp2.Body)
+}
+
+// getMetricsz serves scope's registry and returns the /metricsz JSON body.
+func getMetricsz(t *testing.T, scope Scope) []byte {
+	t.Helper()
+	srv, err := ServeDebug("127.0.0.1:0", scope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metricsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestMetricszGolden pins the /metricsz JSON bytes: counters, gauges, and
+// histograms with empty, zero and multi-bucket distributions, plus the
+// disabled registry's empty document.
+func TestMetricszGolden(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter(MSATConflicts).Add(9)
+	reg.Counter(MRuns).Inc()
+	reg.Counter("zero.counter")
+	reg.Gauge(MBDDNodes).Set(123)
+	reg.Gauge(MIC3Frames).SetMax(4)
+	reg.Histogram("empty.hist")
+	for _, v := range []int64{0, 1, 3, 300, 301, 70000} {
+		reg.Histogram(MRunMS).Observe(v)
+	}
+	reg.Histogram(MBDDGCPauseUS).Observe(5)
+	got := getMetricsz(t, Scope{Reg: reg})
+
+	golden := filepath.Join("testdata", "metricsz_golden.json")
+	if *update {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/obs -run TestMetricszGolden -update`)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("/metricsz differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if got := getMetricsz(t, Scope{}); string(got) != "{}\n" {
+		t.Fatalf("disabled registry /metricsz = %q, want %q", got, "{}\n")
+	}
 }
 
 func TestServeDebugMetricszProm(t *testing.T) {

@@ -204,34 +204,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Counters returns a point-in-time copy of all counter values.
-func (r *Registry) Counters() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.counters))
-	for name, c := range r.counters {
-		out[name] = c.Value()
-	}
-	return out
-}
-
-// Gauges returns a point-in-time copy of all gauge values.
-func (r *Registry) Gauges() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make(map[string]int64, len(r.gauges))
-	for name, g := range r.gauges {
-		out[name] = g.Value()
-	}
-	return out
-}
-
 // Snapshot flattens every metric to name→value: counters and gauges
 // verbatim, histograms as name.count, name.sum, and name.max.
 func (r *Registry) Snapshot() map[string]int64 {
@@ -255,49 +227,14 @@ func (r *Registry) Snapshot() map[string]int64 {
 	return out
 }
 
-// histJSON is the /metricsz shape of one histogram: totals plus the
-// non-empty log2 buckets keyed by their inclusive lower bound.
-type histJSON struct {
-	Count   int64            `json:"count"`
-	Sum     int64            `json:"sum"`
-	Max     int64            `json:"max"`
-	Buckets map[string]int64 `json:"buckets,omitempty"`
-}
-
 // WriteJSON writes the full registry as deterministic JSON (map keys are
-// sorted by encoding/json). Used by /metricsz and -metrics dumps.
+// sorted by encoding/json): the Export snapshot, as /metricsz and -metrics
+// dumps serve it.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	var doc struct {
-		Counters   map[string]int64    `json:"counters,omitempty"`
-		Gauges     map[string]int64    `json:"gauges,omitempty"`
-		Histograms map[string]histJSON `json:"histograms,omitempty"`
-	}
-	if r != nil {
-		doc.Counters = r.Counters()
-		doc.Gauges = r.Gauges()
-		r.mu.RLock()
-		doc.Histograms = make(map[string]histJSON, len(r.histograms))
-		for name, h := range r.histograms {
-			hj := histJSON{Count: h.Count(), Sum: h.Sum(), Max: h.Max()}
-			for i := range h.buckets {
-				if n := h.buckets[i].Load(); n > 0 {
-					lo := int64(0)
-					if i > 0 {
-						lo = int64(1) << (i - 1)
-					}
-					if hj.Buckets == nil {
-						hj.Buckets = make(map[string]int64)
-					}
-					hj.Buckets[strconv.FormatInt(lo, 10)] = n
-				}
-			}
-			doc.Histograms[name] = hj
-		}
-		r.mu.RUnlock()
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
+	s := r.Export()
+	return enc.Encode(&s)
 }
 
 // Fprint writes a sorted "name value" line per metric, the final-dump

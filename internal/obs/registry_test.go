@@ -114,7 +114,7 @@ func TestNilSafety(t *testing.T) {
 	scope.Reg.Gauge("y").Set(1)
 	scope.Reg.Gauge("y").SetMax(2)
 	scope.Reg.Histogram("z").Observe(4)
-	if scope.Reg.Snapshot() != nil || scope.Reg.Counters() != nil || scope.Reg.Gauges() != nil {
+	if scope.Reg.Snapshot() != nil || !scope.Reg.Export().Empty() {
 		t.Fatal("nil registry snapshot not nil")
 	}
 	if got := scope.Reg.Summary(); got != "(no activity)" {

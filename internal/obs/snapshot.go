@@ -141,10 +141,10 @@ func (h *Histogram) absorb(hs HistogramSnapshot) {
 	}
 }
 
-// SpanEvent is the exported, wire-ready form of one trace event: what a
-// worker ships to the daemon so its spans can join the fleet trace, and
-// what the merged-trace endpoint serialises. Field order is the JSON field
-// order (matching the Chrome trace_event schema).
+// SpanEvent is one trace event as a Tracer records it, and its wire-ready
+// form: what a worker ships to the daemon so its spans can join the fleet
+// trace, and what the merged-trace endpoint serialises. Field order is the
+// JSON field order (matching the Chrome trace_event schema).
 type SpanEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -158,35 +158,22 @@ type SpanEvent struct {
 }
 
 // Export copies every recorded event out of the tracer as SpanEvents,
-// sorted by timestamp with insertion order as the tiebreaker (the same
-// order WriteChrome emits). limit > 0 truncates to the first limit events
-// so per-unit exports stay bounded; 0 means no limit.
+// sorted by timestamp with recording order as the tiebreaker (the order
+// WriteChrome emits). limit > 0 truncates to the first limit events so
+// per-unit exports stay bounded; 0 means no limit.
 func (t *Tracer) Export(limit int) []SpanEvent {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	events := make([]traceEvent, len(t.events))
+	events := make([]SpanEvent, len(t.events))
 	copy(events, t.events)
 	t.mu.Unlock()
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].TS != events[j].TS {
-			return events[i].TS < events[j].TS
-		}
-		return events[i].seq < events[j].seq
-	})
+	sort.SliceStable(events, func(i, j int) bool { return events[i].TS < events[j].TS })
 	if limit > 0 && len(events) > limit {
 		events = events[:limit]
 	}
-	out := make([]SpanEvent, len(events))
-	for i, ev := range events {
-		out[i] = SpanEvent{
-			Name: ev.Name, Cat: ev.Cat, Ph: ev.Ph,
-			TS: ev.TS, Dur: ev.Dur, PID: ev.PID, TID: ev.TID,
-			S: ev.S, Args: ev.Args,
-		}
-	}
-	return out
+	return events
 }
 
 // WriteChromeEvents writes events as a Chrome trace_event JSON document

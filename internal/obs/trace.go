@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,8 +23,7 @@ type Tracer struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	events  []traceEvent
-	seq     int
+	events  []SpanEvent // in recording order, the export's sort tiebreaker
 	spanLog io.Writer
 }
 
@@ -125,7 +123,7 @@ func (s *Span) End() {
 	}
 	t := s.t
 	t.mu.Lock()
-	t.append(traceEvent{
+	t.events = append(t.events, SpanEvent{
 		Name: s.name, Cat: s.cat, Ph: "X",
 		TS: s.startUS, Dur: dur, TID: s.tid, Args: args,
 	})
@@ -149,7 +147,7 @@ func (t *Tracer) Instant(cat, name string) {
 	}
 	ts := t.nowUS()
 	t.mu.Lock()
-	t.append(traceEvent{Name: name, Cat: cat, Ph: "i", TS: ts, S: "t"})
+	t.events = append(t.events, SpanEvent{Name: name, Cat: cat, Ph: "i", TS: ts, S: "t"})
 	t.mu.Unlock()
 }
 
@@ -161,35 +159,11 @@ func (t *Tracer) CounterEvent(cat, name string, value int64) {
 	}
 	ts := t.nowUS()
 	t.mu.Lock()
-	t.append(traceEvent{
+	t.events = append(t.events, SpanEvent{
 		Name: name, Cat: cat, Ph: "C", TS: ts,
 		Args: map[string]any{"value": value},
 	})
 	t.mu.Unlock()
-}
-
-// append records ev; the caller holds t.mu.
-func (t *Tracer) append(ev traceEvent) {
-	ev.seq = t.seq
-	t.seq++
-	t.events = append(t.events, ev)
-}
-
-// traceEvent is one Chrome trace_event record. Field order here is the
-// JSON field order, which with the sorted export makes output
-// deterministic for golden tests.
-type traceEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-
-	seq int // insertion order, the sort tiebreaker
 }
 
 // spanLogLine is one line of the JSONL span log.
@@ -208,29 +182,7 @@ type spanLogLine struct {
 // object (`{"traceEvents": [...]}`), sorted by timestamp with insertion
 // order as the tiebreaker so output is deterministic.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	var events []traceEvent
-	if t != nil {
-		t.mu.Lock()
-		events = make([]traceEvent, len(t.events))
-		copy(events, t.events)
-		t.mu.Unlock()
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].TS != events[j].TS {
-			return events[i].TS < events[j].TS
-		}
-		return events[i].seq < events[j].seq
-	})
-	doc := struct {
-		TraceEvents     []traceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}{TraceEvents: events, DisplayTimeUnit: "ms"}
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []traceEvent{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(&doc)
+	return WriteChromeEvents(w, t.Export(0))
 }
 
 // EventCount returns the number of recorded events (for progress lines).

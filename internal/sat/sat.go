@@ -133,17 +133,6 @@ func (s *Solver) NewVar() int {
 // NumVars returns the number of allocated variables.
 func (s *Solver) NumVars() int { return len(s.vars) - 1 }
 
-// NumClauses returns the number of problem (non-learnt) clauses.
-func (s *Solver) NumClauses() int {
-	n := 0
-	for i := range s.clauses {
-		if !s.clauses[i].learnt {
-			n++
-		}
-	}
-	return n
-}
-
 // Conflicts returns the total number of conflicts encountered.
 func (s *Solver) Conflicts() int { return s.conflTot }
 

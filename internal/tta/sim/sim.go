@@ -338,14 +338,6 @@ func (c *Cluster) NodeState(i int) NodeState {
 	return c.nodes[i].state
 }
 
-// NodePos returns node i's TDMA position estimate.
-func (c *Cluster) NodePos(i int) int {
-	if c.nodes[i] == nil {
-		return 0
-	}
-	return c.nodes[i].pos
-}
-
 // HubState returns hub ch's protocol state (a faulty hub reports Active).
 func (c *Cluster) HubState(ch int) HubState {
 	if c.hubs[ch] == nil {
@@ -353,10 +345,6 @@ func (c *Cluster) HubState(ch int) HubState {
 	}
 	return c.hubs[ch].state
 }
-
-// InjectedOutput returns faulty node i's per-channel output this slot
-// (zero Frames for a correct node).
-func (c *Cluster) InjectedOutput(i int) [2]Frame { return c.fout[i] }
 
 // RestartPending reports whether node i still has a scheduled transient
 // restart that has not fired yet.

@@ -20,10 +20,6 @@ type Params struct {
 // Round returns the TDMA round length in slots.
 func (p Params) Round() int { return p.N }
 
-// StartupDelay returns τ_startup(i): the offset of node i's slot from the
-// round start, in slots.
-func (p Params) StartupDelay(i int) int { return i }
-
 // ListenTimeout returns node i's unique listen timeout
 // τ_listen(i) = 2·round + τ_startup(i) (the paper's LT_TO[i] = 2n+i).
 func (p Params) ListenTimeout(i int) int { return 2*p.N + i }
