@@ -114,7 +114,7 @@ func BenchmarkBaselineExplicitVsSymbolic(b *testing.B) {
 	for _, n := range []int{3, 4} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for b.Loop() {
-				rows, _, err := exp.Baseline([]int{n}, true)
+				rows, _, err := exp.Baseline(context.Background(), []int{n}, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -136,7 +136,7 @@ func BenchmarkBigBang(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := s.Check(core.LemmaSafety, core.EngineSymbolic)
+			res, err := s.CheckCtx(context.Background(), core.LemmaSafety, core.EngineSymbolic)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func BenchmarkBigBang(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := s.Check(core.LemmaSafety, core.EngineBMC)
+			res, err := s.CheckCtx(context.Background(), core.LemmaSafety, core.EngineBMC)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -168,7 +168,7 @@ func BenchmarkBigBang(b *testing.B) {
 // BenchmarkWorstCase reproduces the Section 5.3 bound sweep.
 func BenchmarkWorstCase(b *testing.B) {
 	for b.Loop() {
-		rows, _, err := exp.WorstCase(exp.Quick, []int{3})
+		rows, _, err := exp.WorstCase(context.Background(), exp.Quick, []int{3})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkFeedbackAblation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := s.Check(core.LemmaSafety, core.EngineSymbolic)
+				res, err := s.CheckCtx(context.Background(), core.LemmaSafety, core.EngineSymbolic)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -4,12 +4,11 @@
 //
 //	ttabench -exp all                 quick versions of every experiment
 //	ttabench -exp fig6b -full -n 3,4,5
-//	ttabench -exp bigbang -trace
 //	ttabench -exp fig4 -j 1           uncontended per-job timings
 //	ttabench -exp ablation -json      campaign-store records on stdout
 //	                                  (any experiment that runs campaign
 //	                                  jobs: fig4-6, ablation, feedback,
-//	                                  ic3)
+//	                                  bigbang, ic3)
 //	ttabench -exp opt -n 4 -bench-dir /tmp
 //	                                  table, and BENCH_opt.json in /tmp
 //	ttabench -compare old.json new.json
@@ -51,7 +50,6 @@ func run() error {
 		full     = flag.Bool("full", false, "use the paper's full parameters (slow; quick scale is the default)")
 		nsFlag   = flag.String("n", "", "comma-separated cluster sizes (default per experiment)")
 		measure  = flag.Bool("measure", true, "measure reachable-state counts where applicable")
-		trace    = flag.Bool("trace", false, "print counterexample traces (bigbang)")
 		workers  = flag.Int("j", 0, "worker pool size for the job-list, campaign, and sim experiments (0: GOMAXPROCS; 1 gives uncontended timings)")
 		jsonOut  = flag.Bool("json", false, "emit campaign-store JSONL records instead of tables (experiments that run campaign jobs)")
 		benchDir = flag.String("bench-dir", ".", "write BENCH_<exp>.json for the opt, order, l2s, sim and serve experiments into this directory (empty: tables only)")
@@ -135,16 +133,9 @@ func run() error {
 		case "feedback":
 			_, recs, table, err = exp.FeedbackAblation(ctx, scale, fullN(3, 4), *workers)
 		case "baseline":
-			_, table, err = exp.Baseline(ns, true)
+			_, table, err = exp.Baseline(ctx, ns, true)
 		case "bigbang":
-			var broken *core.BigBangResult
-			broken, _, table, err = exp.BigBang(scale, size(3))
-			if err == nil && *trace && broken.Symbolic.Trace != nil {
-				// The suite's model is not exposed here; the bounded trace
-				// prints identically through the symbolic result's system.
-				table += fmt.Sprintf("\nclique counterexample (symbolic engine):\n(%d steps; run ttamc -no-big-bang -faulty-hub 0 -cex for the rendered trace)\n",
-					broken.Symbolic.Trace.Len())
-			}
+			_, recs, table, err = exp.BigBang(ctx, scale, size(3), *workers)
 		case "campaign":
 			runs := 2000
 			if scale == exp.Full {
@@ -152,7 +143,7 @@ func run() error {
 			}
 			_, table, err = exp.Campaign(ctx, size(4), runs, *workers)
 		case "wcsup":
-			_, table, err = exp.WorstCase(scale, ns)
+			_, table, err = exp.WorstCase(ctx, scale, ns)
 		case "order", "opt", "l2s":
 			n := size(3)
 			var rows []exp.Row

@@ -22,9 +22,9 @@ import (
 
 	"ttastartup/internal/bdd"
 	"ttastartup/internal/campaign"
+	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/lint"
-	"ttastartup/internal/mc"
 	"ttastartup/internal/tta/original"
 	"ttastartup/internal/tta/startup"
 )
@@ -138,16 +138,23 @@ type target struct {
 	preds []gcl.Expr
 }
 
-func hubTarget(m *startup.Model) target {
-	bound := m.P.WorstCaseStartup() + m.P.Round()
+// hubTarget builds the hub model of cfg with the predicates of the
+// lemmas ttamc checks on it, the paper's four and the sanity set, as
+// core.Suite.Property states them.
+func hubTarget(cfg startup.Config) (target, error) {
+	s, err := core.NewSuite(cfg, core.Options{})
+	if err != nil {
+		return target{}, err
+	}
 	var preds []gcl.Expr
-	for _, p := range []mc.Property{
-		m.Safety(), m.Liveness(), m.Timeliness(bound),
-		m.NoError(), m.HubsAgree(), m.NodeHubAgree(), m.LocksOnlyFaulty(),
-	} {
+	for _, l := range append(core.AllLemmas(), core.SanityLemmas()...) {
+		p, err := s.Property(l)
+		if err != nil {
+			return target{}, err
+		}
 		preds = append(preds, p.Pred)
 	}
-	return target{sys: m.Sys, preds: preds}
+	return target{sys: s.Model.Sys, preds: preds}, nil
 }
 
 func busTarget(m *original.Model) target {
@@ -157,11 +164,7 @@ func busTarget(m *original.Model) target {
 func oneTarget(topology string, cfg startup.Config, faultyNode, degree, deltaInit int) (target, error) {
 	switch topology {
 	case "hub":
-		m, err := startup.Build(cfg)
-		if err != nil {
-			return target{}, err
-		}
-		return hubTarget(m), nil
+		return hubTarget(cfg)
 	case "bus":
 		ocfg := original.DefaultConfig(cfg.N)
 		ocfg.FaultyNode = faultyNode
@@ -188,11 +191,11 @@ func allTargets(n int) ([]target, error) {
 	for _, bigBang := range []bool{true, false} {
 		add := func(cfg startup.Config) error {
 			cfg.DisableBigBang = !bigBang
-			m, err := startup.Build(cfg)
+			tg, err := hubTarget(cfg)
 			if err != nil {
 				return err
 			}
-			targets = append(targets, hubTarget(m))
+			targets = append(targets, tg)
 			return nil
 		}
 		if err := add(startup.DefaultConfig(n)); err != nil {

@@ -172,7 +172,7 @@ func run(args []string) (err error) {
 	}
 
 	if *count {
-		c, err := suite.CountStates()
+		c, err := suite.CountStates(context.Background())
 		if err != nil {
 			return err
 		}
@@ -180,7 +180,7 @@ func run(args []string) (err error) {
 	}
 
 	if *wcsup {
-		res, err := suite.WorstCaseStartup(0)
+		res, err := suite.WorstCaseStartup(context.Background(), 0)
 		if err != nil {
 			return err
 		}

@@ -33,7 +33,7 @@ import (
 )
 
 func main() {
-	code, err := run()
+	code, err := run(os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ttasimfuzz:", err)
 		if code == 0 {
@@ -43,36 +43,39 @@ func main() {
 	os.Exit(code)
 }
 
-func run() (int, error) {
+func run(args []string) (int, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		n          = flag.Int("n", 4, "cluster size")
-		samples    = flag.Int("samples", 100000, "number of scenarios")
-		seed       = flag.Int64("seed", 1, "campaign seed (scenario k uses DeriveSeed(seed, k))")
-		batch      = flag.Int("batch", 0, "scenarios per checkpointed batch (0: 1000)")
-		deltaInit  = flag.Int("delta-init", 0, "power-on window (0: 8·round)")
-		maxSlots   = flag.Int("max-slots", 0, "slot budget per run (0: 20·round)")
-		degree     = flag.Int("degree", 0, "pin every faulty node's fault degree (0: uniform 1..6 per node)")
-		near       = flag.Int("near", 0, "near-violation margin under w_sup (0: 2)")
-		corpusCap  = flag.Int("corpus-cap", 0, "corpus entries per (kind, reason) bucket (0: 32)")
-		mix        = flag.String("mix", "", "scenario mix as kind:weight,... (empty: the default mix)")
-		noBigBang  = flag.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
-		specPath   = flag.String("spec", "", "read the campaign spec from this JSON file instead of the flags above")
-		out        = flag.String("out", "", "JSONL checkpoint path (empty: in-memory only)")
-		resume     = flag.Bool("resume", false, "resume from the intact prefix of -out")
-		reportPath = flag.String("report", "", "write the JSON report here (text report always goes to stdout)")
-		workers    = flag.Int("j", 0, "worker goroutines (0: GOMAXPROCS)")
-		budget     = flag.Int64("budget", 0, "pause after this many simulated slots (0: run to completion)")
-		stopAfter  = flag.Int("stop-after-batches", 0, "pause after this many total batches (testing hook; 0: off)")
-		cover      = flag.Bool("cover", false, "compare visited abstract states against the verified model's reachable set (in-hypothesis mixes at small scopes; requires -out)")
-		replay     = flag.Bool("replay", true, "differentially replay violating/near-violating corpus entries through the gcl model")
-		replayAll  = flag.Bool("replay-all", false, "replay the entire corpus, not just violating/near entries")
-		corpusOut  = flag.String("corpus", "", "write the corpus as JSONL to this path")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON file here")
-		spanlog    = flag.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics    = flag.Bool("metrics", false, "dump the metrics registry at exit")
-		pprofAddr  = flag.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
+		n          = fs.Int("n", 4, "cluster size")
+		samples    = fs.Int("samples", 100000, "number of scenarios")
+		seed       = fs.Int64("seed", 1, "campaign seed (scenario k uses DeriveSeed(seed, k))")
+		batch      = fs.Int("batch", 0, "scenarios per checkpointed batch (0: 1000)")
+		deltaInit  = fs.Int("delta-init", 0, "power-on window (0: 8·round)")
+		maxSlots   = fs.Int("max-slots", 0, "slot budget per run (0: 20·round)")
+		degree     = fs.Int("degree", 0, "pin every faulty node's fault degree (0: uniform 1..6 per node)")
+		near       = fs.Int("near", 0, "near-violation margin under w_sup (0: 2)")
+		corpusCap  = fs.Int("corpus-cap", 0, "corpus entries per (kind, reason) bucket (0: 32)")
+		mix        = fs.String("mix", "", "scenario mix as kind:weight,... (empty: the default mix)")
+		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
+		specPath   = fs.String("spec", "", "read the campaign spec from this JSON file instead of the flags above")
+		out        = fs.String("out", "", "JSONL checkpoint path (empty: in-memory only)")
+		resume     = fs.Bool("resume", false, "resume from the intact prefix of -out")
+		reportPath = fs.String("report", "", "write the JSON report here (text report always goes to stdout)")
+		workers    = fs.Int("j", 0, "worker goroutines (0: GOMAXPROCS)")
+		budget     = fs.Int64("budget", 0, "pause after this many simulated slots (0: run to completion)")
+		stopAfter  = fs.Int("stop-after-batches", 0, "pause after this many total batches (testing hook; 0: off)")
+		cover      = fs.Bool("cover", false, "compare visited abstract states against the verified model's reachable set (in-hypothesis mixes at small scopes)")
+		replay     = fs.Bool("replay", true, "differentially replay violating/near-violating corpus entries through the gcl model")
+		replayAll  = fs.Bool("replay-all", false, "replay the entire corpus, not just violating/near entries")
+		corpusOut  = fs.String("corpus", "", "write the corpus as JSONL to this path")
+		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON file here")
+		spanlog    = fs.String("spanlog", "", "append one JSON line per finished span to this file")
+		metrics    = fs.Bool("metrics", false, "dump the metrics registry at exit")
+		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2, err
+	}
 
 	scope, obsDone, err := obs.Setup(obs.SetupOptions{
 		TracePath: *tracePath,
@@ -153,10 +156,7 @@ func run() (int, error) {
 	}
 
 	if *cover && rep.Completed {
-		if *out == "" {
-			return 2, errors.New("-cover requires -out (the visited-state set is reduced from the checkpoint)")
-		}
-		if err := printCoverage(sp, *out, rep); err != nil {
+		if err := printCoverage(sp, rep); err != nil {
 			return 1, err
 		}
 	}
@@ -202,33 +202,19 @@ func writeCorpus(rep *mcfi.Report, path string) error {
 	return f.Close()
 }
 
-func printCoverage(sp mcfi.Spec, checkpoint string, rep *mcfi.Report) error {
-	cfgs, err := sp.ModelConfigs()
+func printCoverage(sp mcfi.Spec, rep *mcfi.Report) error {
+	c, err := mcfi.CompareCoverage(sp, rep.Visited)
 	if err != nil {
 		return err
-	}
-	visited, err := mcfi.VisitedStates(checkpoint, sp)
-	if err != nil {
-		return err
-	}
-	union, detail, err := mcfi.ModelAbstractUnion(cfgs, 0)
-	if err != nil {
-		return err
-	}
-	outside := 0
-	for code := range visited {
-		if _, ok := union[code]; !ok {
-			outside++
-		}
 	}
 	fmt.Printf("model coverage reference (explicit reachability, delta_init=%d):\n", sp.DeltaInit)
-	for _, d := range detail {
+	for _, d := range c.Configs {
 		fmt.Printf("  %-16s %8d reachable states, %4d abstract\n", d.Name, d.Reachable, d.AbstractStates)
 	}
 	fmt.Printf("simulation visited %d/%d model abstract states (%.1f%%), %d outside the model\n",
-		len(visited)-outside, len(union), 100*float64(len(visited)-outside)/float64(len(union)), outside)
-	if outside > 0 {
-		return fmt.Errorf("%d visited abstract states are unreachable in the model — conformance broken", outside)
+		c.Inside(), c.Model, 100*float64(c.Inside())/float64(c.Model), c.Outside)
+	if c.Outside > 0 {
+		return fmt.Errorf("%d visited abstract states are unreachable in the model — conformance broken", c.Outside)
 	}
 	return nil
 }
@@ -236,7 +222,7 @@ func printCoverage(sp mcfi.Spec, checkpoint string, rep *mcfi.Report) error {
 func runReplay(ctx context.Context, sp mcfi.Spec, rep *mcfi.Report, all bool, workers int, scope obs.Scope) (int, error) {
 	var entries []mcfi.CorpusEntry
 	for _, e := range rep.Corpus {
-		if all || e.Violation || hasReason(e, mcfi.ReasonNear) {
+		if all || e.Violation || e.HasReason(mcfi.ReasonNear) {
 			entries = append(entries, e)
 		}
 	}
@@ -258,13 +244,4 @@ func runReplay(ctx context.Context, sp mcfi.Spec, rep *mcfi.Report, all bool, wo
 	}
 	fmt.Printf("replay: %d/%d entries cross-checked OK\n", len(results)-failures, len(results))
 	return failures, nil
-}
-
-func hasReason(e mcfi.CorpusEntry, reason string) bool {
-	for _, r := range e.Reasons {
-		if r == reason {
-			return true
-		}
-	}
-	return false
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,37 +18,46 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	ctx := context.Background()
 
 	cfg := startup.DefaultConfig(3).WithFaultyHub(0)
 	cfg.DeltaInit = 6
 
 	fmt.Println("=== design variant: big-bang mechanism DISABLED ===")
-	res, err := core.BigBangExploration(cfg, core.Options{BMCDepth: 20})
+	off := cfg
+	off.DisableBigBang = true
+	broken, err := core.NewSuite(off, core.Options{BMCDepth: 20})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("symbolic engine: %v in %v\n", res.Symbolic.Verdict, res.Symbolic.Stats.Duration)
+	sym, err := broken.CheckCtx(ctx, core.LemmaSafety2, core.EngineSymbolic)
+	if err != nil {
+		log.Fatal(err)
+	}
+	bounded, err := broken.CheckCtx(ctx, core.LemmaSafety2, core.EngineBMC)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("symbolic engine: %v in %v\n", sym.Verdict, sym.Stats.Duration)
 	fmt.Printf("bounded engine:  %v at depth %d (%d SAT conflicts) in %v\n",
-		res.Bounded.Verdict, res.Bounded.Stats.Iterations,
-		res.Bounded.Stats.Conflicts, res.Bounded.Stats.Duration)
+		bounded.Verdict, bounded.Stats.Iterations, bounded.Stats.Conflicts, bounded.Stats.Duration)
 
-	if res.Symbolic.Verdict != mc.Violated {
+	if sym.Verdict != mc.Violated {
 		log.Fatal("expected a safety violation without the big-bang mechanism")
 	}
 
 	// Render the clique scenario, the analogue of the paper's six-step
 	// counterexample: a cs-frame collision that the faulty hub forwards
 	// selectively, leaving two subsets on different rounds.
-	broken := startup.MustBuild(withBigBangOff(cfg))
 	fmt.Println("\nclique counterexample (changed variables per slot):")
-	fmt.Print(res.Symbolic.Trace.Format(broken.Sys))
+	fmt.Print(sym.Trace.Format(broken.Model.Sys))
 
 	fmt.Println("\n=== final design: big-bang mechanism ENABLED ===")
 	suite, err := core.NewSuite(cfg, core.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fixed, err := suite.Check(core.LemmaSafety2, core.EngineSymbolic)
+	fixed, err := suite.CheckCtx(ctx, core.LemmaSafety2, core.EngineSymbolic)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,9 +66,4 @@ func main() {
 		log.Fatal("the final design should verify")
 	}
 	fmt.Println("\nthe big-bang mechanism is necessary and sufficient here, as the paper found.")
-}
-
-func withBigBangOff(cfg startup.Config) startup.Config {
-	cfg.DisableBigBang = true
-	return cfg
 }

@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	count, err := suite.CountStates()
+	count, err := suite.CountStates(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func main() {
 		log.Fatal("model has error-level lint diagnostics")
 	}
 
-	count, err := suite.CountStates()
+	count, err := suite.CountStates(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

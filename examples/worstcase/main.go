@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := suite.WorstCaseStartup(0)
+			res, err := suite.WorstCaseStartup(context.Background(), 0)
 			if err != nil {
 				log.Fatal(err)
 			}

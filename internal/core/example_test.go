@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,9 +9,9 @@ import (
 	"ttastartup/internal/tta/startup"
 )
 
-// ExampleSuite_Check verifies the agreement lemma against a maximally
+// ExampleSuite_CheckCtx verifies the agreement lemma against a maximally
 // faulty node with the symbolic engine.
-func ExampleSuite_Check() {
+func ExampleSuite_CheckCtx() {
 	cfg := startup.DefaultConfig(3).WithFaultyNode(1)
 	cfg.DeltaInit = 4 // small power-on window; the paper uses 8·round
 
@@ -18,7 +19,7 @@ func ExampleSuite_Check() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := suite.Check(core.LemmaSafety, core.EngineSymbolic)
+	res, err := suite.CheckCtx(context.Background(), core.LemmaSafety, core.EngineSymbolic)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func ExampleSuite_WorstCaseStartup() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := suite.WorstCaseStartup(0)
+	res, err := suite.WorstCaseStartup(context.Background(), 0)
 	if err != nil {
 		log.Fatal(err)
 	}

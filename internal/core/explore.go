@@ -1,11 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"ttastartup/internal/mc"
-	"ttastartup/internal/tta/startup"
 )
 
 // BoundProbe records one step of the worst-case-startup-time sweep: the
@@ -31,15 +31,15 @@ type WorstCaseResult struct {
 
 // WorstCaseStartup reproduces the Section 5.3 exploration: model check the
 // timeliness property for increasing bounds until counterexamples are no
-// longer produced. The symbolic engine's cached reachable set makes each
-// probe cheap after the first. startFrom chooses the first bound probed
-// (the paper "set it first to some small explicit value, e.g. 12"); 0
-// means half the paper's prediction.
-func (s *Suite) WorstCaseStartup(startFrom int) (*WorstCaseResult, error) {
-	eng, err := s.symbolic()
-	if err != nil {
-		return nil, err
-	}
+// longer produced. startFrom chooses the first bound probed (the paper
+// "set it first to some small explicit value, e.g. 12"); 0 means half the
+// paper's prediction.
+//
+// Every probe runs on the symbolic engine of the source model, whatever
+// Options.Opt says (checkSource): the probes share that engine's reachable
+// set, which makes each probe cheap after the first, while an optimized
+// model would be sliced anew for every bound.
+func (s *Suite) WorstCaseStartup(ctx context.Context, startFrom int) (*WorstCaseResult, error) {
 	paper := s.Model.P.WorstCaseStartup()
 	bound := startFrom
 	if bound <= 0 {
@@ -49,7 +49,7 @@ func (s *Suite) WorstCaseStartup(startFrom int) (*WorstCaseResult, error) {
 	res := &WorstCaseResult{PaperWSup: paper, WSup: -1}
 	for ; bound <= maxBound; bound++ {
 		begin := time.Now()
-		r, err := eng.CheckInvariant(s.Model.Timeliness(bound))
+		r, err := s.checkSource(ctx, s.Model.Timeliness(bound))
 		if err != nil {
 			return nil, err
 		}
@@ -61,40 +61,4 @@ func (s *Suite) WorstCaseStartup(startFrom int) (*WorstCaseResult, error) {
 		}
 	}
 	return nil, fmt.Errorf("core: no finite startup bound below %d (timeliness violated everywhere)", maxBound)
-}
-
-// BigBangResult is the outcome of the Section 5.2 design exploration: with
-// the big-bang mechanism disabled the safety lemmas must fail, and the
-// bounded engine should find the shallow clique counterexample.
-type BigBangResult struct {
-	// Symbolic is the symbolic engine's verdict on the safety property.
-	Symbolic *mc.Result
-	// Bounded is the bounded engine's verdict (and depth) on the same
-	// property.
-	Bounded *mc.Result
-}
-
-// BigBangExploration builds the big-bang-disabled variant of cfg and
-// checks the safety property with both the symbolic and the bounded
-// engine, reproducing the Section 5.2 experiment. The returned traces
-// exhibit the clique scenario.
-func BigBangExploration(cfg startup.Config, opts Options) (*BigBangResult, error) {
-	cfg.DisableBigBang = true
-	s, err := NewSuite(cfg, opts)
-	if err != nil {
-		return nil, err
-	}
-	lemma := LemmaSafety
-	if cfg.FaultyHub >= 0 {
-		lemma = LemmaSafety2
-	}
-	symRes, err := s.Check(lemma, EngineSymbolic)
-	if err != nil {
-		return nil, err
-	}
-	bmcRes, err := s.Check(lemma, EngineBMC)
-	if err != nil {
-		return nil, err
-	}
-	return &BigBangResult{Symbolic: symRes, Bounded: bmcRes}, nil
 }

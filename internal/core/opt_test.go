@@ -99,11 +99,11 @@ func TestOptVerdictMatrixHub(t *testing.T) {
 
 	for _, c := range cells {
 		t.Run(c.e.String()+"/"+c.l.String(), func(t *testing.T) {
-			rb, err := base.Check(c.l, c.e)
+			rb, err := base.CheckCtx(context.Background(), c.l, c.e)
 			if err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
-			ro, err := optd.Check(c.l, c.e)
+			ro, err := optd.CheckCtx(context.Background(), c.l, c.e)
 			if err != nil {
 				t.Fatalf("optimized: %v", err)
 			}
@@ -258,7 +258,7 @@ func TestOptInflatesInvariantTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Check(LemmaSafety, EngineSymbolic)
+	res, err := s.CheckCtx(context.Background(), LemmaSafety, EngineSymbolic)
 	if err != nil {
 		t.Fatal(err)
 	}

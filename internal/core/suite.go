@@ -3,8 +3,7 @@
 // pipeline (Check) and exposes the paper's experiments — checking the
 // four lemmas (Section 4), and with them every lemma of a configuration
 // at a chosen fault degree, the exhaustive fault simulation of Section
-// 5.4; worst-case-startup-time exploration (Section 5.3); and the
-// big-bang design-exploration experiment (Section 5.2).
+// 5.4; and worst-case-startup-time exploration (Section 5.3).
 package core
 
 import (
@@ -263,11 +262,6 @@ func (s *Suite) Compiled() *gcl.Compiled {
 	return s.source().compiled()
 }
 
-// symbolic returns the shared symbolic engine, building it on first use.
-func (s *Suite) symbolic() (*symbolic.Engine, error) {
-	return s.source().symbolic(s.opts.Symbolic)
-}
-
 // TimelinessBound returns the bound used for the timeliness lemmas: the
 // configured override, or the paper's w_sup plus a fixed margin of one
 // round that absorbs the ±constant differences of our discretisation
@@ -306,11 +300,6 @@ func (s *Suite) Property(l Lemma) (mc.Property, error) {
 	}
 }
 
-// Check verifies one lemma with one engine.
-func (s *Suite) Check(l Lemma, e Engine) (*mc.Result, error) {
-	return s.CheckCtx(context.Background(), l, e)
-}
-
 // CheckCtx verifies one lemma with one engine under a context: a deadline
 // or cancellation propagates into the engine's hot loop (BFS frontier,
 // symbolic fixpoint, or SAT search) and surfaces as ctx.Err().
@@ -326,11 +315,22 @@ func (s *Suite) CheckCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, er
 	return check(ctx, s.source(), prop, e, opts)
 }
 
-// CountStates returns the exact reachable-state count (symbolic engine).
-func (s *Suite) CountStates() (*big.Int, error) {
-	eng, err := s.symbolic()
+// checkSource checks prop on the symbolic engine of the source model,
+// whatever Options.Opt says: every such check shares that engine's
+// reachable set, while an optimized model would be sliced anew for each
+// property.
+func (s *Suite) checkSource(ctx context.Context, prop mc.Property) (*mc.Result, error) {
+	opts := s.opts
+	opts.Opt = false
+	return check(ctx, s.source(), prop, EngineSymbolic, opts)
+}
+
+// CountStates returns the exact reachable-state count of the source
+// model, as the symbolic engine reports it for the trivial invariant.
+func (s *Suite) CountStates(ctx context.Context) (*big.Int, error) {
+	res, err := s.checkSource(ctx, mc.Property{Name: "reachable", Kind: mc.Invariant, Pred: gcl.True()})
 	if err != nil {
 		return nil, err
 	}
-	return eng.CountStates()
+	return res.Stats.Reachable, nil
 }

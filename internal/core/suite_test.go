@@ -37,7 +37,7 @@ func TestCheckAllLemmasSymbolic(t *testing.T) {
 
 func TestCheckSafety2FaultyHub(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3).WithFaultyHub(0))
-	res, err := s.Check(LemmaSafety2, EngineSymbolic)
+	res, err := s.CheckCtx(context.Background(), LemmaSafety2, EngineSymbolic)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestEnginesAgreeOnStartupModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, l := range []Lemma{LemmaSafety, LemmaNoError, LemmaLiveness} {
-		sym, err := s.Check(l, EngineSymbolic)
+		sym, err := s.CheckCtx(context.Background(), l, EngineSymbolic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp, err := s.Check(l, EngineExplicit)
+		exp, err := s.CheckCtx(context.Background(), l, EngineExplicit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestEnginesAgreeOnStartupModel(t *testing.T) {
 			t.Errorf("%v: state counts differ: %v vs %v", l, sym.Stats.Reachable, exp.Stats.Reachable)
 		}
 		for _, e := range []Engine{EngineBMC, EngineInduction, EngineIC3} {
-			res, err := s.Check(l, e)
+			res, err := s.CheckCtx(context.Background(), l, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +116,7 @@ func TestBMCLivenessRefutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Check(LemmaLiveness, EngineBMC)
+	res, err := s.CheckCtx(context.Background(), LemmaLiveness, EngineBMC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,14 +136,14 @@ func TestInductionEngineOnSanityLemma(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Check(LemmaNoError, EngineInduction)
+	res, err := s.CheckCtx(context.Background(), LemmaNoError, EngineInduction)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict == mc.Violated {
 		t.Errorf("k-induction fabricated a violation of a true lemma")
 	}
-	live, err := s.Check(LemmaLiveness, EngineInduction)
+	live, err := s.CheckCtx(context.Background(), LemmaLiveness, EngineInduction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestInductionEngineOnSanityLemma(t *testing.T) {
 
 func TestWorstCaseStartup(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3).WithFaultyNode(0))
-	res, err := s.WorstCaseStartup(5)
+	res, err := s.WorstCaseStartup(context.Background(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,28 +177,41 @@ func TestWorstCaseStartup(t *testing.T) {
 	}
 }
 
+// TestBigBangExploration runs the Section 5.2 design exploration through
+// the Suite: with the big-bang mechanism disabled, safety_2 fails on both
+// the symbolic and the bounded engine, and the bounded engine finds the
+// clique counterexample at a depth below the symbolic trace's length.
 func TestBigBangExploration(t *testing.T) {
 	cfg := startup.DefaultConfig(3).WithFaultyHub(0)
 	cfg.DeltaInit = 6
-	res, err := BigBangExploration(cfg, Options{BMCDepth: 16})
+	cfg.DisableBigBang = true
+	s, err := NewSuite(cfg, Options{BMCDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Symbolic.Verdict != mc.Violated {
-		t.Errorf("symbolic: %v, want violated", res.Symbolic.Verdict)
+	sym, err := s.CheckCtx(context.Background(), LemmaSafety2, EngineSymbolic)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Bounded.Verdict != mc.Violated {
-		t.Errorf("bounded: %v, want violated", res.Bounded.Verdict)
+	bounded, err := s.CheckCtx(context.Background(), LemmaSafety2, EngineBMC)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Bounded.Stats.Iterations >= res.Symbolic.Trace.Len() {
+	if sym.Verdict != mc.Violated {
+		t.Errorf("symbolic: %v, want violated", sym.Verdict)
+	}
+	if bounded.Verdict != mc.Violated {
+		t.Errorf("bounded: %v, want violated", bounded.Verdict)
+	}
+	if bounded.Stats.Iterations >= sym.Trace.Len() {
 		t.Errorf("bmc depth %d should be below the symbolic trace length %d (shortest path)",
-			res.Bounded.Stats.Iterations, res.Symbolic.Trace.Len())
+			bounded.Stats.Iterations, sym.Trace.Len())
 	}
 }
 
 func TestCountStates(t *testing.T) {
 	s := quick(t, startup.DefaultConfig(3))
-	c, err := s.CountStates()
+	c, err := s.CountStates(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ import (
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
 	"ttastartup/internal/gcl"
-	"ttastartup/internal/mc"
 	"ttastartup/internal/mc/explicit"
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/sim/mcfi"
@@ -471,7 +470,7 @@ type BaselineRow struct {
 // of the ORIGINAL bus-topology startup algorithm with the explicit-state
 // and the symbolic engine (the paper: 30 s vs 0.38 s at n=4; 13 min vs
 // 0.62 s at n=5 on its explicit-state model of 41,322 states).
-func Baseline(ns []int, faulty bool) ([]BaselineRow, string, error) {
+func Baseline(ctx context.Context, ns []int, faulty bool) ([]BaselineRow, string, error) {
 	if len(ns) == 0 {
 		ns = []int{3, 4, 5}
 	}
@@ -492,9 +491,11 @@ func Baseline(ns []int, faulty bool) ([]BaselineRow, string, error) {
 		// exhaustive-work vs exhaustive-work even when the property fails
 		// (the ORIGINAL algorithm predates the guardian protections, and
 		// with a faulty node its safety genuinely fails — the paper used
-		// this model for performance comparison only).
+		// this model for performance comparison only). The explicit
+		// engine's invariant check stops at the first violation, so its
+		// half explores the graph itself.
 		expBegin := time.Now()
-		g, err := explicit.Explore(model.Sys, explicit.Options{})
+		g, err := explicit.ExploreCtx(ctx, model.Sys, explicit.Options{})
 		if err != nil {
 			return nil, "", fmt.Errorf("baseline explicit n=%d: %w", n, err)
 		}
@@ -507,11 +508,7 @@ func Baseline(ns []int, faulty bool) ([]BaselineRow, string, error) {
 		}
 		expCPU := time.Since(expBegin)
 
-		eng, err := symbolic.New(model.Sys.Compile(), symbolic.Options{NoTrace: true})
-		if err != nil {
-			return nil, "", err
-		}
-		symRes, err := eng.CheckInvariant(prop)
+		symRes, err := core.Check(ctx, model.Sys, prop, core.EngineSymbolic, core.Options{Symbolic: symbolic.Options{NoTrace: true}})
 		if err != nil {
 			return nil, "", fmt.Errorf("baseline symbolic n=%d: %w", n, err)
 		}
@@ -546,48 +543,38 @@ func Baseline(ns []int, faulty bool) ([]BaselineRow, string, error) {
 // ---------------------------------------------------------------------------
 // Section 5.2 — big-bang exploration
 
-// BigBang runs the design-exploration experiment: disable the big-bang
-// mechanism and find the clique counterexample with both the symbolic and
-// the bounded engine, then confirm the fixed design verifies.
-func BigBang(scale Scale, n int) (*core.BigBangResult, *mc.Result, string, error) {
-	cfg := startup.DefaultConfig(n).WithFaultyHub(0)
-	cfg.DeltaInit = scale.deltaInit(n)
-	if cfg.DeltaInit == 0 {
-		cfg.DeltaInit = 2 * n // keep the BMC unrolling tractable at full scale
+// bigBangJobs lists the Section 5.2 checks, all of safety_2 against
+// faulty hub 0: big-bang off on the symbolic and on the bounded engine,
+// then big-bang on (the final design) on the symbolic engine.
+func bigBangJobs(scale Scale, n int) []campaign.Job {
+	off := campaign.Job{
+		Topology: campaign.TopologyHub, N: n, FaultyNode: -1, FaultyHub: 0,
+		DeltaInit: scale.deltaInit(n), Lemma: "safety_2", Engine: "symbolic",
 	}
-	opts := core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}}
-	broken, err := core.BigBangExploration(cfg, opts)
-	if err != nil {
-		return nil, nil, "", err
+	if off.DeltaInit == 0 {
+		off.DeltaInit = 2 * n // keep the BMC unrolling tractable at full scale
 	}
-
-	fixed, err := core.NewSuite(cfg, opts) // big-bang enabled
-	if err != nil {
-		return nil, nil, "", err
-	}
-	fixedRes, err := fixed.Check(core.LemmaSafety2, core.EngineSymbolic)
-	if err != nil {
-		return nil, nil, "", err
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Section 5.2 — big-bang design exploration (n=%d, faulty hub, %s scale)\n", n, scale)
-	fmt.Fprintf(&b, "  big-bang OFF, symbolic: %-10v cpu=%-10v trace=%d steps\n",
-		broken.Symbolic.Verdict, broken.Symbolic.Stats.Duration.Round(time.Millisecond), traceLen(broken.Symbolic))
-	fmt.Fprintf(&b, "  big-bang OFF, bounded:  %-10v cpu=%-10v depth=%d conflicts=%d\n",
-		broken.Bounded.Verdict, broken.Bounded.Stats.Duration.Round(time.Millisecond),
-		broken.Bounded.Stats.Iterations, broken.Bounded.Stats.Conflicts)
-	fmt.Fprintf(&b, "  big-bang ON,  symbolic: %-10v cpu=%v\n",
-		fixedRes.Verdict, fixedRes.Stats.Duration.Round(time.Millisecond))
-	b.WriteString("  paper: violation found; bounded depth 13 in 93 s vs symbolic 127 s (5 nodes)\n")
-	return broken, fixedRes, b.String(), nil
+	bounded := off
+	bounded.Engine = "bmc"
+	on := off
+	on.BigBang = true
+	return []campaign.Job{off, bounded, on}
 }
 
-func traceLen(r *mc.Result) int {
-	if r.Trace == nil {
-		return 0
+// BigBang runs the design-exploration experiment: disable the big-bang
+// mechanism and find the clique counterexample with both the symbolic and
+// the bounded engine, then confirm the fixed design verifies. The checks
+// keep their traces, so the rows report the counterexample lengths next
+// to the engines' rounds (the bounded engine's rounds are its depth).
+func BigBang(ctx context.Context, scale Scale, n, workers int) ([]Row, []campaign.Record, string, error) {
+	opts := campaign.RunOptions{Workers: workers, Options: core.Options{Symbolic: symbolic.Options{BDD: scale.bddConfig()}}}
+	rows, recs, err := runTable(ctx, "bigbang", bigBangJobs(scale, n), design, mRounds|mCex, opts)
+	if err != nil {
+		return nil, nil, "", err
 	}
-	return r.Trace.Len()
+	return rows, recs, renderTable(fmt.Sprintf("Section 5.2 — big-bang design exploration (n=%d, faulty hub, %s scale)", n, scale), rows,
+		"cpu is the job's wall time, model build included; bmc rounds are its depth",
+		"paper: violation found; bounded depth 13 in 93 s vs symbolic 127 s (5 nodes)"), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -605,7 +592,7 @@ type WCSupRow struct {
 // WorstCase sweeps the timeliness bound for each cluster size, reproducing
 // the Section 5.3 exploration, with a degree-6 faulty node present (the
 // paper: the worst case occurs with a faulty node).
-func WorstCase(scale Scale, ns []int) ([]WCSupRow, string, error) {
+func WorstCase(ctx context.Context, scale Scale, ns []int) ([]WCSupRow, string, error) {
 	if len(ns) == 0 {
 		ns = []int{3, 4}
 	}
@@ -625,7 +612,7 @@ func WorstCase(scale Scale, ns []int) ([]WCSupRow, string, error) {
 				return nil, "", err
 			}
 			begin := time.Now()
-			res, err := s.WorstCaseStartup(0)
+			res, err := s.WorstCaseStartup(ctx, 0)
 			if err != nil {
 				return nil, "", fmt.Errorf("wcsup n=%d: %w", n, err)
 			}

@@ -96,7 +96,7 @@ func TestFig6Safety2Row(t *testing.T) {
 
 // TestBaselineShape: the symbolic advantage must grow with cluster size.
 func TestBaselineShape(t *testing.T) {
-	rows, _, err := Baseline([]int{3, 4}, false)
+	rows, _, err := Baseline(context.Background(), []int{3, 4}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,20 +109,26 @@ func TestBaselineShape(t *testing.T) {
 }
 
 func TestBigBangExperiment(t *testing.T) {
-	broken, fixed, table, err := BigBang(Quick, 3)
+	rows, _, table, err := BigBang(context.Background(), Quick, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken.Symbolic.Verdict != mc.Violated || broken.Bounded.Verdict != mc.Violated {
-		t.Errorf("big-bang-off should be violated:\n%s", table)
+	sym, bounded, fixed := rows[0], rows[1], rows[2]
+	if sym.Holds || bounded.Holds || sym.Verdict != mc.Violated.String() || bounded.Verdict != mc.Violated.String() {
+		t.Errorf("big-bang-off should be violated on both engines:\n%s", table)
 	}
-	if fixed.Verdict != mc.Holds {
+	if !fixed.Holds {
 		t.Errorf("big-bang-on should hold:\n%s", table)
+	}
+	// BMC finds the shortest counterexample; the symbolic trace is a
+	// shortest path too, one state longer than its depth.
+	if bounded.Rounds >= sym.CexLen {
+		t.Errorf("bmc depth %d should be below the symbolic trace length %d:\n%s", bounded.Rounds, sym.CexLen, table)
 	}
 }
 
 func TestWorstCaseExperiment(t *testing.T) {
-	rows, _, err := WorstCase(Quick, []int{3})
+	rows, _, err := WorstCase(context.Background(), Quick, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,30 +126,19 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 	if err != nil {
 		return nil, "", fmt.Errorf("sim coverage campaign: %w", err)
 	}
-	cfgs, err := covSpec.ModelConfigs()
-	if err != nil {
-		return nil, "", err
-	}
-	union, detail, err := mcfi.ModelAbstractUnion(cfgs, 0)
+	cmp, err := mcfi.CompareCoverage(covSpec, cov.Visited)
 	if err != nil {
 		return nil, "", fmt.Errorf("sim coverage model: %w", err)
 	}
-	outside := 0
-	for code := range cov.Visited {
-		if _, ok := union[code]; !ok {
-			outside++
-		}
-	}
-	inside := len(cov.Visited) - outside
 	rep.Coverage = SimCoverage{
 		N: cov.Spec.N, DeltaInit: cov.Spec.DeltaInit, Degree: cov.Spec.Degree,
 		Samples: cov.Samples, CPUMS: time.Since(begin).Milliseconds(),
-		VisitedAbstract: len(cov.Visited), ModelAbstract: len(union),
-		Outside: outside, Fraction: float64(inside) / float64(len(union)),
-		Configs: detail,
+		VisitedAbstract: cmp.Visited, ModelAbstract: cmp.Model,
+		Outside: cmp.Outside, Fraction: float64(cmp.Inside()) / float64(cmp.Model),
+		Configs: cmp.Configs,
 	}
-	if outside > 0 {
-		return nil, "", fmt.Errorf("sim coverage: %d visited abstract states outside the model", outside)
+	if cmp.Outside > 0 {
+		return nil, "", fmt.Errorf("sim coverage: %d visited abstract states outside the model", cmp.Outside)
 	}
 
 	// 3. Differential replay of every violating/near entry of both corpora.
@@ -161,7 +150,7 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 	}{{tpSpec, tp}, {covSpec, cov}} {
 		var entries []mcfi.CorpusEntry
 		for _, e := range c.rep.Corpus {
-			if e.Violation || hasReason(e.Reasons, mcfi.ReasonNear) {
+			if e.Violation || e.HasReason(mcfi.ReasonNear) {
 				entries = append(entries, e)
 			}
 		}
@@ -185,15 +174,6 @@ func SimFuzz(ctx context.Context, scale Scale, workers int) (*SimReport, string,
 	}
 
 	return rep, simTable(rep), nil
-}
-
-func hasReason(reasons []string, want string) bool {
-	for _, r := range reasons {
-		if r == want {
-			return true
-		}
-	}
-	return false
 }
 
 func simTable(r *SimReport) string {

@@ -122,7 +122,7 @@ func TestProductAgreesWithExplicit(t *testing.T) {
 		mk("twomod-fallback-holds", two, twoProp),
 	} {
 		t.Run(f.name, func(t *testing.T) {
-			oracle, err := explicit.CheckEventually(f.sys, f.prop, explicit.Options{})
+			oracle, err := explicit.CheckEventuallyCtx(context.Background(), f.sys, f.prop, explicit.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func checkLasso(t *testing.T, eng string, sys *gcl.System, prop mc.Property, tr 
 // HoldsBounded once the diameter query closes.
 func TestBMCDiameterCompleteness(t *testing.T) {
 	sys, prop := counter(false)
-	res, err := bmc.CheckEventuallyRefute(sys.Compile(), prop, bmc.Options{MaxDepth: 20})
+	res, err := bmc.CheckEventuallyRefuteCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ const EngineName = "bmc"
 type Options struct {
 	// MaxDepth is the deepest unrolling to try (required, > 0).
 	MaxDepth int
-	// MinDepth is the first depth to check (default 0: initial states).
-	MinDepth int
 	// Obs receives per-depth frame spans, per-query SAT spans and counter
 	// flushes, and the engine span. The zero value disables instrumentation.
 	Obs obs.Scope
@@ -193,18 +191,13 @@ func (c *Checker) bindCtx(ctx context.Context) func() error {
 	}
 }
 
-// CheckInvariant searches for a violation of G(pred) at depths
-// MinDepth..MaxDepth, returning the shallowest counterexample or
-// HoldsBounded.
-func CheckInvariant(comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
-	return CheckInvariantCtx(context.Background(), comp, prop, opts)
-}
-
-// CheckInvariantCtx is CheckInvariant with cancellation plumbed into the
-// per-depth unrolling loop and into the SAT search itself.
+// CheckInvariantCtx searches for a violation of G(pred) at depths
+// 0..MaxDepth, returning the shallowest counterexample or
+// HoldsBounded. Cancellation of ctx reaches the per-depth unrolling loop
+// and the SAT search itself.
 func CheckInvariantCtx(ctx context.Context, comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
 	if prop.Kind != mc.Invariant {
-		return nil, fmt.Errorf("bmc: CheckInvariant on %v property", prop.Kind)
+		return nil, fmt.Errorf("bmc: CheckInvariantCtx on %v property", prop.Kind)
 	}
 	if opts.MaxDepth <= 0 {
 		return nil, fmt.Errorf("bmc: MaxDepth must be positive")
@@ -216,7 +209,7 @@ func CheckInvariantCtx(ctx context.Context, comp *gcl.Compiled, prop mc.Property
 	badCircuit := comp.CompileExpr(prop.Pred).Not()
 
 	res := &mc.Result{Property: prop, Verdict: mc.HoldsBounded}
-	for k := opts.MinDepth; k <= opts.MaxDepth; k++ {
+	for k := 0; k <= opts.MaxDepth; k++ {
 		if err := ctx.Err(); err != nil {
 			run.Abort(err)
 			return nil, err

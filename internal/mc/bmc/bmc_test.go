@@ -1,6 +1,7 @@
 package bmc_test
 
 import (
+	"context"
 	"testing"
 
 	"ttastartup/internal/gcl"
@@ -42,7 +43,7 @@ func TestLassoRefutesLiveness(t *testing.T) {
 	prop := mc.Property{Name: "y-reaches-7", Kind: mc.Eventually,
 		Pred: gcl.Eq(gcl.X(bv), gcl.C(gcl.IntType("c", 8), 7))}
 
-	res, err := bmc.CheckEventuallyRefute(comp, prop, bmc.Options{MaxDepth: 12})
+	res, err := bmc.CheckEventuallyRefuteCtx(context.Background(), comp, prop, bmc.Options{MaxDepth: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestLassoRefutesLiveness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	symRes, err := eng.CheckEventually(prop)
+	symRes, err := eng.CheckEventuallyCtx(context.Background(), prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestLassoDiameterUpgradeOnTrueLiveness(t *testing.T) {
 	sys, v := saturatingCounter(6)
 	prop := mc.Property{Name: "v-reaches-top", Kind: mc.Eventually,
 		Pred: gcl.Eq(gcl.X(v), gcl.C(gcl.IntType("c", 6), 5))}
-	res, err := bmc.CheckEventuallyRefute(sys.Compile(), prop, bmc.Options{MaxDepth: 15})
+	res, err := bmc.CheckEventuallyRefuteCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestLassoDiameterUpgradeOnTrueLiveness(t *testing.T) {
 	if res.Stats.Iterations >= 15 {
 		t.Errorf("diameter closed at depth %d, expected well under the budget", res.Stats.Iterations)
 	}
-	shallow, err := bmc.CheckEventuallyRefute(sys.Compile(), prop, bmc.Options{MaxDepth: 3})
+	shallow, err := bmc.CheckEventuallyRefuteCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestInductionProvesInvariant(t *testing.T) {
 	// v <= 7 is trivially inductive (domain bound).
 	prop := mc.Property{Name: "v-le-7", Kind: mc.Invariant,
 		Pred: gcl.Le(gcl.X(v), gcl.C(gcl.IntType("c", 8), 7))}
-	res, err := bmc.CheckInvariantInduction(sys.Compile(), prop, bmc.InductionOptions{MaxK: 4})
+	res, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), prop, bmc.InductionOptions{MaxK: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestInductionFindsViolation(t *testing.T) {
 	sys, v := saturatingCounter(16)
 	prop := mc.Property{Name: "v-lt-5", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(gcl.IntType("c", 16), 5))}
-	res, err := bmc.CheckInvariantInduction(sys.Compile(), prop, bmc.InductionOptions{MaxK: 20})
+	res, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), prop, bmc.InductionOptions{MaxK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +176,11 @@ func TestInductionNeedsSimplePath(t *testing.T) {
 	prop := mc.Property{Name: "v-le-6", Kind: mc.Invariant,
 		Pred: gcl.Le(gcl.X(v), gcl.C(typ, 6))}
 
-	plain, err := bmc.CheckInvariantInduction(sys.Compile(), prop, bmc.InductionOptions{MaxK: 6})
+	plain, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), prop, bmc.InductionOptions{MaxK: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strengthened, err := bmc.CheckInvariantInduction(sys.Compile(), prop,
+	strengthened, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), prop,
 		bmc.InductionOptions{MaxK: 10, SimplePath: true})
 	if err != nil {
 		t.Fatal(err)
@@ -198,14 +199,14 @@ func TestInductionNeedsSimplePath(t *testing.T) {
 func TestInductionRejectsWrongKinds(t *testing.T) {
 	sys, _ := saturatingCounter(4)
 	ev := mc.Property{Name: "p", Kind: mc.Eventually, Pred: gcl.True()}
-	if _, err := bmc.CheckInvariantInduction(sys.Compile(), ev, bmc.InductionOptions{MaxK: 2}); err == nil {
+	if _, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), ev, bmc.InductionOptions{MaxK: 2}); err == nil {
 		t.Error("induction accepted an Eventually property")
 	}
 	inv := mc.Property{Name: "p", Kind: mc.Invariant, Pred: gcl.True()}
-	if _, err := bmc.CheckInvariantInduction(sys.Compile(), inv, bmc.InductionOptions{}); err == nil {
+	if _, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), inv, bmc.InductionOptions{}); err == nil {
 		t.Error("induction accepted MaxK=0")
 	}
-	if _, err := bmc.CheckEventuallyRefute(sys.Compile(), inv, bmc.Options{MaxDepth: 2}); err == nil {
+	if _, err := bmc.CheckEventuallyRefuteCtx(context.Background(), sys.Compile(), inv, bmc.Options{MaxDepth: 2}); err == nil {
 		t.Error("lasso refutation accepted an Invariant property")
 	}
 }

@@ -25,23 +25,18 @@ type InductionOptions struct {
 	Obs obs.Scope
 }
 
-// CheckInvariantInduction attempts an UNBOUNDED proof of G(pred) by
+// CheckInvariantInductionCtx attempts an UNBOUNDED proof of G(pred) by
 // temporal induction: for increasing k it checks the base case (no
 // violation within k steps of an initial state) and the inductive step
 // (no path of k+1 pred-states followed by a ¬pred-state). If the step is
 // unsatisfiable the invariant holds for every depth — a SAT-based proof
 // with no BDDs involved. Returns Holds (proved), Violated (base case
 // failed, with trace), or HoldsBounded (MaxK exhausted; no verdict beyond
-// the bound).
-func CheckInvariantInduction(comp *gcl.Compiled, prop mc.Property, opts InductionOptions) (*mc.Result, error) {
-	return CheckInvariantInductionCtx(context.Background(), comp, prop, opts)
-}
-
-// CheckInvariantInductionCtx is CheckInvariantInduction with cancellation
-// plumbed into the per-k loop and both SAT searches.
+// the bound). Cancellation of ctx reaches the per-k loop and both SAT
+// searches.
 func CheckInvariantInductionCtx(ctx context.Context, comp *gcl.Compiled, prop mc.Property, opts InductionOptions) (*mc.Result, error) {
 	if prop.Kind != mc.Invariant {
-		return nil, fmt.Errorf("bmc: CheckInvariantInduction on %v property", prop.Kind)
+		return nil, fmt.Errorf("bmc: CheckInvariantInductionCtx on %v property", prop.Kind)
 	}
 	if opts.MaxK <= 0 {
 		return nil, fmt.Errorf("bmc: MaxK must be positive")

@@ -10,7 +10,7 @@ import (
 	"ttastartup/internal/sat"
 )
 
-// CheckEventuallyRefute searches for a counterexample to F(pred) on all
+// CheckEventuallyRefuteCtx searches for a counterexample to F(pred) on all
 // paths: a lasso — a path x_0 … x_k with x_k equal to some earlier x_l —
 // every state of which violates pred. Refutations come back as Violated
 // with a lasso trace. The search is additionally complete at the
@@ -21,16 +21,11 @@ import (
 // (the short-counterexample argument of Konnov et al., arXiv:1608.05327),
 // so the eventuality is proved outright and the verdict is a definitive
 // Holds. Only when MaxDepth is exhausted below the recurrence diameter
-// does the method fall back to HoldsBounded.
-func CheckEventuallyRefute(comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
-	return CheckEventuallyRefuteCtx(context.Background(), comp, prop, opts)
-}
-
-// CheckEventuallyRefuteCtx is CheckEventuallyRefute with cancellation
-// plumbed into the per-depth loop and the SAT search.
+// does the method fall back to HoldsBounded. Cancellation of ctx reaches
+// the per-depth loop and the SAT search.
 func CheckEventuallyRefuteCtx(ctx context.Context, comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
 	if prop.Kind != mc.Eventually {
-		return nil, fmt.Errorf("bmc: CheckEventuallyRefute on %v property", prop.Kind)
+		return nil, fmt.Errorf("bmc: CheckEventuallyRefuteCtx on %v property", prop.Kind)
 	}
 	if opts.MaxDepth <= 0 {
 		return nil, fmt.Errorf("bmc: MaxDepth must be positive")

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"context"
 	"testing"
 
 	"ttastartup/internal/bdd"
@@ -15,7 +16,7 @@ import (
 // agreement; it returns the shared verdict.
 func ctlCheckBoth(t *testing.T, sys *gcl.System, name string, f *mc.CTLFormula) mc.Verdict {
 	t.Helper()
-	expRes, err := explicit.CheckCTL(sys, name, f, explicit.Options{})
+	expRes, err := explicit.CheckCTLCtx(context.Background(), sys, name, f, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,7 @@ func ctlCheckBoth(t *testing.T, sys *gcl.System, name string, f *mc.CTLFormula) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	symRes, err := eng.CheckCTL(name, f)
+	symRes, err := eng.CheckCTLCtx(context.Background(), name, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestCTLMatchesDedicatedCheckers(t *testing.T) {
 		case mc.Eventually:
 			f = mc.CTLAF(mc.CTLAtom(pc.prop.Pred))
 		}
-		res, err := eng.CheckCTL(pc.prop.Name, f)
+		res, err := eng.CheckCTLCtx(context.Background(), pc.prop.Name, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +176,7 @@ func TestCTLUnderReordering(t *testing.T) {
 	reorders := 0
 	for _, fc := range formulas {
 		t.Run(fc.name, func(t *testing.T) {
-			expRes, err := explicit.CheckCTL(m.Sys, fc.name, fc.f, explicit.Options{})
+			expRes, err := explicit.CheckCTLCtx(context.Background(), m.Sys, fc.name, fc.f, explicit.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +191,7 @@ func TestCTLUnderReordering(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := eng.CheckCTL(fc.name, fc.f)
+				res, err := eng.CheckCTLCtx(context.Background(), fc.name, fc.f)
 				if err != nil {
 					t.Fatal(err)
 				}

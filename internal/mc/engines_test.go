@@ -190,15 +190,15 @@ func TestEnginesAgree(t *testing.T) {
 				var err error
 				switch pc.prop.Kind {
 				case mc.Invariant:
-					expRes, err = explicit.CheckInvariant(sys, pc.prop, explicit.Options{})
+					expRes, err = explicit.CheckInvariantCtx(context.Background(), sys, pc.prop, explicit.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					symRes, err = eng.CheckInvariant(pc.prop)
+					symRes, err = eng.CheckInvariantCtx(context.Background(), pc.prop)
 					if err != nil {
 						t.Fatal(err)
 					}
-					bmcRes, err := bmc.CheckInvariant(comp, pc.prop, bmc.Options{MaxDepth: 25})
+					bmcRes, err := bmc.CheckInvariantCtx(context.Background(), comp, pc.prop, bmc.Options{MaxDepth: 25})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -214,12 +214,12 @@ func TestEnginesAgree(t *testing.T) {
 					}
 					// k-induction with simple-path constraints is complete
 					// on finite systems: exact verdicts, like IC3 below.
-					indRes, err := bmc.CheckInvariantInduction(comp, pc.prop,
+					indRes, err := bmc.CheckInvariantInductionCtx(context.Background(), comp, pc.prop,
 						bmc.InductionOptions{MaxK: 60, SimplePath: true})
 					if err != nil {
 						t.Fatal(err)
 					}
-					icRes, err := ic3.CheckInvariant(comp, pc.prop, ic3.Options{})
+					icRes, err := ic3.CheckInvariantCtx(context.Background(), comp, pc.prop, ic3.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -238,11 +238,11 @@ func TestEnginesAgree(t *testing.T) {
 						}
 					}
 				case mc.Eventually:
-					expRes, err = explicit.CheckEventually(sys, pc.prop, explicit.Options{})
+					expRes, err = explicit.CheckEventuallyCtx(context.Background(), sys, pc.prop, explicit.Options{})
 					if err != nil {
 						t.Fatal(err)
 					}
-					symRes, err = eng.CheckEventually(pc.prop)
+					symRes, err = eng.CheckEventuallyCtx(context.Background(), pc.prop)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -261,7 +261,7 @@ func TestEnginesAgree(t *testing.T) {
 					// Plain BMC is complete here too: the recurrence-diameter
 					// fallback upgrades holds-bounded to a definitive holds
 					// once the simple-path query closes.
-					bmcRes, err := bmc.CheckEventuallyRefute(comp, pc.prop, bmc.Options{MaxDepth: 80})
+					bmcRes, err := bmc.CheckEventuallyRefuteCtx(context.Background(), comp, pc.prop, bmc.Options{MaxDepth: 80})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -307,7 +307,7 @@ func TestStateCountsAgree(t *testing.T) {
 	for _, ts := range systems() {
 		t.Run(ts.name, func(t *testing.T) {
 			sys, _ := ts.build()
-			g, err := explicit.Explore(sys, explicit.Options{})
+			g, err := explicit.ExploreCtx(context.Background(), sys, explicit.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,7 +376,7 @@ func TestExplicitGraphDeadlocks(t *testing.T) {
 	v := m.Var("v", typ, gcl.InitConst(0))
 	m.Cmd("inc", gcl.Lt(gcl.X(v), gcl.C(typ, 3)), gcl.Set(v, gcl.AddSat(gcl.X(v), 1)))
 	sys.MustFinalize()
-	g, err := explicit.Explore(sys, explicit.Options{})
+	g, err := explicit.ExploreCtx(context.Background(), sys, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +396,7 @@ func TestStateLimit(t *testing.T) {
 	v := m.Var("v", typ, gcl.InitConst(0))
 	m.Cmd("inc", gcl.B(true), gcl.Set(v, gcl.AddMod(gcl.X(v), 1)))
 	sys.MustFinalize()
-	_, err := explicit.Explore(sys, explicit.Options{MaxStates: 10})
+	_, err := explicit.ExploreCtx(context.Background(), sys, explicit.Options{MaxStates: 10})
 	if err == nil {
 		t.Fatal("expected state-limit error")
 	}
@@ -412,7 +412,7 @@ func TestBMCFindsMinimalDepth(t *testing.T) {
 	sys.MustFinalize()
 	prop := mc.Property{Name: "v-lt-7", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(typ, 7))}
-	res, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{MaxDepth: 20})
+	res, err := bmc.CheckInvariantCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestSymbolicTraceIsShortest(t *testing.T) {
 	}
 	prop := mc.Property{Name: "v-lt-9", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(typ, 9))}
-	res, err := eng.CheckInvariant(prop)
+	res, err := eng.CheckInvariantCtx(context.Background(), prop)
 	if err != nil {
 		t.Fatal(err)
 	}

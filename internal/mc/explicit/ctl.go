@@ -10,15 +10,10 @@ import (
 	"ttastartup/internal/mc"
 )
 
-// CheckCTL evaluates a CTL formula over the explored state graph by
+// CheckCTLCtx evaluates a CTL formula over the explored state graph by
 // explicit fixpoint iteration — the reference implementation the symbolic
-// evaluator is cross-checked against.
-func CheckCTL(sys *gcl.System, name string, f *mc.CTLFormula, opts Options) (*mc.Result, error) {
-	return CheckCTLCtx(context.Background(), sys, name, f, opts)
-}
-
-// CheckCTLCtx is CheckCTL with cancellation plumbed into the state-graph
-// exploration.
+// evaluator is cross-checked against. Cancellation of ctx reaches the
+// state-graph exploration.
 func CheckCTLCtx(ctx context.Context, sys *gcl.System, name string, f *mc.CTLFormula, opts Options) (*mc.Result, error) {
 	start := time.Now()
 	opts.StoreEdges = true

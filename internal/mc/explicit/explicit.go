@@ -106,13 +106,9 @@ type Graph struct {
 // NumStates returns the number of distinct reachable states.
 func (g *Graph) NumStates() int { return len(g.States) }
 
-// Explore performs exhaustive BFS reachability from all initial states.
-func Explore(sys *gcl.System, opts Options) (*Graph, error) {
-	return ExploreCtx(context.Background(), sys, opts)
-}
-
-// ExploreCtx is Explore with cancellation: the BFS frontier loop polls ctx
-// every few hundred states and returns ctx.Err() once it is done.
+// ExploreCtx performs exhaustive BFS reachability from all initial states.
+// The frontier loop polls ctx every few hundred states and returns
+// ctx.Err() once it is done.
 func ExploreCtx(ctx context.Context, sys *gcl.System, opts Options) (*Graph, error) {
 	stepper := gcl.NewStepper(sys)
 	vars := sys.StateVars()
@@ -201,17 +197,11 @@ func (g *Graph) tracePath(target int32) *mc.Trace {
 	return mc.NewTrace(states)
 }
 
-// CheckInvariant checks G(pred) by exhaustive reachability, stopping at the
-// first violation.
-func CheckInvariant(sys *gcl.System, prop mc.Property, opts Options) (*mc.Result, error) {
-	return CheckInvariantCtx(context.Background(), sys, prop, opts)
-}
-
-// CheckInvariantCtx is CheckInvariant with cancellation plumbed into the
-// BFS frontier loop.
+// CheckInvariantCtx checks G(pred) by exhaustive reachability, stopping at
+// the first violation. Cancellation of ctx reaches the BFS frontier loop.
 func CheckInvariantCtx(ctx context.Context, sys *gcl.System, prop mc.Property, opts Options) (*mc.Result, error) {
 	if prop.Kind != mc.Invariant {
-		return nil, fmt.Errorf("explicit: CheckInvariant on %v property", prop.Kind)
+		return nil, fmt.Errorf("explicit: CheckInvariantCtx on %v property", prop.Kind)
 	}
 	run := mc.StartRun(opts.Obs, EngineName, prop.Name)
 	stepper := gcl.NewStepper(sys)
@@ -280,22 +270,17 @@ func CheckInvariantCtx(ctx context.Context, sys *gcl.System, prop mc.Property, o
 	return res, nil
 }
 
-// CheckEventually checks F(pred) on all paths (AF pred): it explores the
+// CheckEventuallyCtx checks F(pred) on all paths (AF pred): it explores the
 // full graph, computes EG(¬pred) as a greatest fixpoint (the states with an
 // infinite path avoiding pred), and reports a lasso counterexample if an
 // initial state lies in that set. Deadlocked states have no infinite paths
 // and are therefore not liveness violations by themselves; they are
 // reported via the graph in Stats.Visited diagnostics and should be checked
-// separately with an invariant.
-func CheckEventually(sys *gcl.System, prop mc.Property, opts Options) (*mc.Result, error) {
-	return CheckEventuallyCtx(context.Background(), sys, prop, opts)
-}
-
-// CheckEventuallyCtx is CheckEventually with cancellation: both the
-// exploration and the EG fixpoint sweeps poll ctx.
+// separately with an invariant. Both the exploration and the EG fixpoint
+// sweeps poll ctx.
 func CheckEventuallyCtx(ctx context.Context, sys *gcl.System, prop mc.Property, opts Options) (*mc.Result, error) {
 	if prop.Kind != mc.Eventually {
-		return nil, fmt.Errorf("explicit: CheckEventually on %v property", prop.Kind)
+		return nil, fmt.Errorf("explicit: CheckEventuallyCtx on %v property", prop.Kind)
 	}
 	run := mc.StartRun(opts.Obs, EngineName, prop.Name)
 	opts.StoreEdges = true

@@ -1,6 +1,7 @@
 package explicit_test
 
 import (
+	"context"
 	"testing"
 
 	"ttastartup/internal/gcl"
@@ -22,7 +23,7 @@ func chain(card, cap int) (*gcl.System, *gcl.Var) {
 
 func TestExploreCountsAndEdges(t *testing.T) {
 	sys, _ := chain(16, 9)
-	g, err := explicit.Explore(sys, explicit.Options{StoreEdges: true})
+	g, err := explicit.ExploreCtx(context.Background(), sys, explicit.Options{StoreEdges: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestInvariantTraceIsShortestPath(t *testing.T) {
 	sys, v := chain(16, 9)
 	prop := mc.Property{Name: "v-lt-5", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(gcl.IntType("c", 16), 5))}
-	res, err := explicit.CheckInvariant(sys, prop, explicit.Options{})
+	res, err := explicit.CheckInvariantCtx(context.Background(), sys, prop, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestEventuallyLasso(t *testing.T) {
 	sys, v := chain(16, 9)
 	prop := mc.Property{Name: "reaches-9", Kind: mc.Eventually,
 		Pred: gcl.Eq(gcl.X(v), gcl.C(gcl.IntType("c", 16), 9))}
-	res, err := explicit.CheckEventually(sys, prop, explicit.Options{})
+	res, err := explicit.CheckEventuallyCtx(context.Background(), sys, prop, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestKindMismatch(t *testing.T) {
 	sys, _ := chain(4, 2)
 	inv := mc.Property{Name: "p", Kind: mc.Invariant, Pred: gcl.True()}
 	ev := mc.Property{Name: "q", Kind: mc.Eventually, Pred: gcl.True()}
-	if _, err := explicit.CheckInvariant(sys, ev, explicit.Options{}); err == nil {
-		t.Error("CheckInvariant accepted Eventually")
+	if _, err := explicit.CheckInvariantCtx(context.Background(), sys, ev, explicit.Options{}); err == nil {
+		t.Error("CheckInvariantCtx accepted Eventually")
 	}
-	if _, err := explicit.CheckEventually(sys, inv, explicit.Options{}); err == nil {
-		t.Error("CheckEventually accepted Invariant")
+	if _, err := explicit.CheckEventuallyCtx(context.Background(), sys, inv, explicit.Options{}); err == nil {
+		t.Error("CheckEventuallyCtx accepted Invariant")
 	}
 }
 
@@ -96,7 +97,7 @@ func TestCheckCTLInPackage(t *testing.T) {
 	sys, v := chain(8, 7)
 	typ := gcl.IntType("c", 8)
 	f := mc.CTLEF(mc.CTLAtom(gcl.Eq(gcl.X(v), gcl.C(typ, 7))))
-	res, err := explicit.CheckCTL(sys, "ef-top", f, explicit.Options{})
+	res, err := explicit.CheckCTLCtx(context.Background(), sys, "ef-top", f, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,12 +34,6 @@ type Options struct {
 	// terminates on its own on finite systems). When the cap is hit
 	// without convergence the verdict is HoldsBounded.
 	MaxFrames int
-	// NoGeneralize disables the drop-literal generalization pass beyond
-	// the unsat-core shrink (for diagnostics and tests).
-	NoGeneralize bool
-	// Progress, when non-nil, is called with a counter snapshot whenever a
-	// frame opens and after every blocked obligation (diagnostics).
-	Progress func(frames, clauses, inf, obligations, queries int)
 	// Obs receives per-frame spans, per-query SAT spans and counter flushes,
 	// obligation/core counters, and the engine span. The zero value disables
 	// instrumentation.
@@ -310,7 +304,6 @@ func (e *engine) newFrame() {
 	e.frameSpan.End()
 	e.frameSpan = e.opts.Obs.Trace.Start(obs.CatFrame, fmt.Sprintf("F%d", e.k()))
 	e.gFrames.SetMax(int64(e.k()))
-	e.progress()
 }
 
 // encode Tseitin-encodes the cone of l and returns its literal (the
@@ -381,7 +374,6 @@ func (e *engine) query(assumps []sat.Lit) (bool, error) {
 		// clause database periodically so they stop burdening propagation.
 		e.solver.Simplify()
 	}
-	e.progress()
 	if e.tap.Solve(assumps...) {
 		return true, nil
 	}
@@ -521,7 +513,6 @@ func (e *engine) addInf(g cube) {
 	e.solver.AddClause(cl...)
 	// Every finite frame just gained a clause; invalidate all push stamps.
 	e.addCnt[len(e.addCnt)-1]++
-	e.progress()
 }
 
 // liftBad shrinks a complete property-violating state cube to the
@@ -644,9 +635,6 @@ func (c cube) insert(l clit) cube {
 // inductive relative to F(i-1) and still disjoint from Init.
 func (e *engine) generalize(i int, s, core cube) (cube, error) {
 	g := e.restoreInit(s, core)
-	if e.opts.NoGeneralize {
-		return g, nil
-	}
 	for idx := 0; idx < len(g) && len(g) > 1; {
 		cand := g.without(idx)
 		// A candidate touching the initial states can never become a
@@ -683,19 +671,7 @@ func (e *engine) addBlocked(g cube, level int) *fclause {
 	fc := &fclause{cube: g, level: level}
 	e.frames[level] = append(e.frames[level], fc)
 	e.addFrameClause(g, level)
-	e.progress()
 	return fc
-}
-
-func (e *engine) progress() {
-	if e.opts.Progress == nil {
-		return
-	}
-	clauses := 0
-	for _, fr := range e.frames {
-		clauses += len(fr)
-	}
-	e.opts.Progress(e.k(), clauses, len(e.inf), e.obligations, e.queries)
 }
 
 func (e *engine) addFrameClause(g cube, level int) {
@@ -899,17 +875,12 @@ func (e *engine) abort(run *mc.Run, err error) {
 	run.Abort(err)
 }
 
-// CheckInvariant proves or refutes G(pred) unboundedly.
-func CheckInvariant(comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
-	return CheckInvariantCtx(context.Background(), comp, prop, opts)
-}
-
-// CheckInvariantCtx is CheckInvariant with cancellation plumbed into every
-// SAT query; an interrupted query aborts the run with the context error and
-// is never reported as a proof.
+// CheckInvariantCtx proves or refutes G(pred) unboundedly. Cancellation
+// of ctx reaches every SAT query; an interrupted query aborts the run with
+// the context error and is never reported as a proof.
 func CheckInvariantCtx(ctx context.Context, comp *gcl.Compiled, prop mc.Property, opts Options) (*mc.Result, error) {
 	if prop.Kind != mc.Invariant {
-		return nil, fmt.Errorf("ic3: CheckInvariant on %v property", prop.Kind)
+		return nil, fmt.Errorf("ic3: CheckInvariantCtx on %v property", prop.Kind)
 	}
 	run := mc.StartRun(opts.Obs, EngineName, prop.Name)
 	e := newEngine(ctx, comp, prop, opts)

@@ -66,7 +66,7 @@ func TestIC3ProvesInvariant(t *testing.T) {
 	typ := gcl.IntType("c", 16)
 	prop := mc.Property{Name: "v-le-5", Kind: mc.Invariant,
 		Pred: gcl.Le(gcl.X(v), gcl.C(typ, 5))}
-	res, err := CheckInvariant(sys.Compile(), prop, Options{})
+	res, err := CheckInvariantCtx(context.Background(), sys.Compile(), prop, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestIC3FindsCounterexample(t *testing.T) {
 	typ := gcl.IntType("c", 16)
 	prop := mc.Property{Name: "v-lt-7", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(typ, 7))}
-	res, err := CheckInvariant(sys.Compile(), prop, Options{})
+	res, err := CheckInvariantCtx(context.Background(), sys.Compile(), prop, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestIC3DeadlockViolation(t *testing.T) {
 	sys.MustFinalize()
 	prop := mc.Property{Name: "v-lt-3", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(typ, 3))}
-	res, err := CheckInvariant(sys.Compile(), prop, Options{})
+	res, err := CheckInvariantCtx(context.Background(), sys.Compile(), prop, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,39 +120,12 @@ func TestIC3DeadlockViolation(t *testing.T) {
 	verifyTrace(t, sys, prop, res.Trace)
 }
 
-func TestIC3NoGeneralizeAgrees(t *testing.T) {
-	sys, v := saturatingCounter(5)
-	typ := gcl.IntType("c", 16)
-	for _, pc := range []struct {
-		prop  mc.Property
-		holds bool
-	}{
-		{mc.Property{Name: "v-le-5", Kind: mc.Invariant, Pred: gcl.Le(gcl.X(v), gcl.C(typ, 5))}, true},
-		{mc.Property{Name: "v-ne-4", Kind: mc.Invariant, Pred: gcl.Ne(gcl.X(v), gcl.C(typ, 4))}, false},
-	} {
-		res, err := CheckInvariant(sys.Compile(), pc.prop, Options{NoGeneralize: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pc.holds && res.Verdict != mc.Holds {
-			t.Errorf("%s: verdict %v, want holds", pc.prop.Name, res.Verdict)
-		}
-		if !pc.holds {
-			if res.Verdict != mc.Violated {
-				t.Errorf("%s: verdict %v, want violated", pc.prop.Name, res.Verdict)
-			} else {
-				verifyTrace(t, sys, pc.prop, res.Trace)
-			}
-		}
-	}
-}
-
 func TestIC3MaxFramesBounded(t *testing.T) {
 	sys, v := saturatingCounter(5)
 	typ := gcl.IntType("c", 16)
 	prop := mc.Property{Name: "v-le-5", Kind: mc.Invariant,
 		Pred: gcl.Le(gcl.X(v), gcl.C(typ, 5))}
-	res, err := CheckInvariant(sys.Compile(), prop, Options{MaxFrames: 1})
+	res, err := CheckInvariantCtx(context.Background(), sys.Compile(), prop, Options{MaxFrames: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +141,7 @@ func TestIC3RejectsLiveness(t *testing.T) {
 	typ := gcl.IntType("c", 16)
 	prop := mc.Property{Name: "live", Kind: mc.Eventually,
 		Pred: gcl.Eq(gcl.X(v), gcl.C(typ, 5))}
-	if _, err := CheckInvariant(sys.Compile(), prop, Options{}); err == nil {
+	if _, err := CheckInvariantCtx(context.Background(), sys.Compile(), prop, Options{}); err == nil {
 		t.Fatal("expected an error for a liveness property")
 	}
 }

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestSymbolicNodeLimitIsError(t *testing.T) {
 	})
 	if err == nil {
 		// Construction may survive on a tiny model; reachability must not.
-		_, err = eng.Reachable()
+		_, err = eng.ReachableCtx(context.Background())
 	}
 	if err == nil {
 		t.Fatal("expected a node-limit error")
@@ -51,7 +52,7 @@ func TestSymbolicNoTrace(t *testing.T) {
 	}
 	prop := mc.Property{Name: "v-small", Kind: mc.Invariant,
 		Pred: gcl.Lt(gcl.X(v), gcl.C(gcl.IntType("c", 64), 40))}
-	res, err := eng.CheckInvariant(prop)
+	res, err := eng.CheckInvariantCtx(context.Background(), prop)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,22 +71,8 @@ func TestSymbolicMaxIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Reachable(); err == nil {
+	if _, err := eng.ReachableCtx(context.Background()); err == nil {
 		t.Error("expected an error from the iteration cap")
-	}
-}
-
-// TestBMCMinDepth: probing can start above zero.
-func TestBMCMinDepth(t *testing.T) {
-	sys, v := bigCounter(32)
-	prop := mc.Property{Name: "v-ne-5", Kind: mc.Invariant,
-		Pred: gcl.Ne(gcl.X(v), gcl.C(gcl.IntType("c", 32), 5))}
-	res, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{MinDepth: 3, MaxDepth: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != mc.Violated || res.Stats.Iterations != 5 {
-		t.Errorf("verdict %v at depth %d, want violated at 5", res.Verdict, res.Stats.Iterations)
 	}
 }
 
@@ -95,7 +82,7 @@ func TestBMCDepthZeroChecksInitial(t *testing.T) {
 	sys, v := bigCounter(8)
 	prop := mc.Property{Name: "v-ne-0", Kind: mc.Invariant,
 		Pred: gcl.Ne(gcl.X(v), gcl.C(gcl.IntType("c", 8), 0))}
-	res, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{MaxDepth: 4})
+	res, err := bmc.CheckInvariantCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +102,7 @@ func traceLen(r *mc.Result) int {
 func TestBMCRequiresDepth(t *testing.T) {
 	sys, _ := bigCounter(8)
 	prop := mc.Property{Name: "true", Kind: mc.Invariant, Pred: gcl.True()}
-	if _, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{}); err == nil {
+	if _, err := bmc.CheckInvariantCtx(context.Background(), sys.Compile(), prop, bmc.Options{}); err == nil {
 		t.Error("expected an error for MaxDepth 0")
 	}
 }
@@ -130,13 +117,13 @@ func TestKindMismatchErrors(t *testing.T) {
 	}
 	inv := mc.Property{Name: "p", Kind: mc.Invariant, Pred: gcl.True()}
 	ev := mc.Property{Name: "q", Kind: mc.Eventually, Pred: gcl.True()}
-	if _, err := eng.CheckInvariant(ev); err == nil {
-		t.Error("CheckInvariant accepted an Eventually property")
+	if _, err := eng.CheckInvariantCtx(context.Background(), ev); err == nil {
+		t.Error("CheckInvariantCtx accepted an Eventually property")
 	}
-	if _, err := eng.CheckEventually(inv); err == nil {
-		t.Error("CheckEventually accepted an Invariant property")
+	if _, err := eng.CheckEventuallyCtx(context.Background(), inv); err == nil {
+		t.Error("CheckEventuallyCtx accepted an Invariant property")
 	}
-	if _, err := bmc.CheckInvariant(comp, ev, bmc.Options{MaxDepth: 2}); err == nil {
+	if _, err := bmc.CheckInvariantCtx(context.Background(), comp, ev, bmc.Options{MaxDepth: 2}); err == nil {
 		t.Error("bmc accepted an Eventually property")
 	}
 }

@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -47,24 +48,24 @@ func TestObsAcrossEngines(t *testing.T) {
 	}
 
 	check("explicit", false, func() (*mc.Result, error) {
-		return explicit.CheckInvariant(sys, prop, explicit.Options{Obs: scope})
+		return explicit.CheckInvariantCtx(context.Background(), sys, prop, explicit.Options{Obs: scope})
 	})
 	check("symbolic", false, func() (*mc.Result, error) {
 		eng, err := symbolic.New(comp, symbolic.Options{Obs: scope})
 		if err != nil {
 			return nil, err
 		}
-		return eng.CheckInvariant(prop)
+		return eng.CheckInvariantCtx(context.Background(), prop)
 	})
 	check("bmc", true, func() (*mc.Result, error) {
-		return bmc.CheckInvariant(comp, prop, bmc.Options{MaxDepth: 10, Obs: scope})
+		return bmc.CheckInvariantCtx(context.Background(), comp, prop, bmc.Options{MaxDepth: 10, Obs: scope})
 	})
 	check("induction", true, func() (*mc.Result, error) {
-		return bmc.CheckInvariantInduction(comp, prop,
+		return bmc.CheckInvariantInductionCtx(context.Background(), comp, prop,
 			bmc.InductionOptions{MaxK: 60, SimplePath: true, Obs: scope})
 	})
 	check("ic3", true, func() (*mc.Result, error) {
-		return ic3.CheckInvariant(comp, prop, ic3.Options{Obs: scope})
+		return ic3.CheckInvariantCtx(context.Background(), comp, prop, ic3.Options{Obs: scope})
 	})
 
 	// The registry totals must match what the engines reported per-run.
@@ -118,7 +119,7 @@ func benchmarkIC3(b *testing.B, scope obs.Scope) {
 	prop := cases[0].prop
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ic3.CheckInvariant(comp, prop, ic3.Options{Obs: scope}); err != nil {
+		if _, err := ic3.CheckInvariantCtx(context.Background(), comp, prop, ic3.Options{Obs: scope}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -132,7 +133,7 @@ func TestObsDisabledIsNoOp(t *testing.T) {
 	comp := sys.Compile()
 	prop := cases[0].prop
 
-	res, err := ic3.CheckInvariant(comp, prop, ic3.Options{})
+	res, err := ic3.CheckInvariantCtx(context.Background(), comp, prop, ic3.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

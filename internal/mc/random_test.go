@@ -175,7 +175,7 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 		sys, vars := randomSystem(seed % 10_000)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 
-		g, err := explicit.Explore(sys, explicit.Options{MaxStates: 200_000})
+		g, err := explicit.ExploreCtx(context.Background(), sys, explicit.Options{MaxStates: 200_000})
 		if err != nil {
 			t.Logf("seed %d: explore: %v", seed, err)
 			return false
@@ -203,12 +203,12 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 			Kind: mc.Invariant,
 			Pred: gcl.Le(gcl.X(v), gcl.C(v.Type, bound)),
 		}
-		expRes, err := explicit.CheckInvariant(sys, prop, explicit.Options{MaxStates: 200_000})
+		expRes, err := explicit.CheckInvariantCtx(context.Background(), sys, prop, explicit.Options{MaxStates: 200_000})
 		if err != nil {
 			t.Logf("seed %d: explicit check: %v", seed, err)
 			return false
 		}
-		symRes, err := eng.CheckInvariant(prop)
+		symRes, err := eng.CheckInvariantCtx(context.Background(), prop)
 		if err != nil {
 			t.Logf("seed %d: symbolic check: %v", seed, err)
 			return false
@@ -217,7 +217,7 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 			t.Logf("seed %d: verdicts differ: explicit %v symbolic %v", seed, expRes.Verdict, symRes.Verdict)
 			return false
 		}
-		bmcRes, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{MaxDepth: 30})
+		bmcRes, err := bmc.CheckInvariantCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 30})
 		if err != nil {
 			t.Logf("seed %d: bmc: %v", seed, err)
 			return false
@@ -228,7 +228,7 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 		}
 		// IC3 is unbounded: its verdict must match symbolic exactly, with
 		// a proof (not a bounded pass) for every true invariant.
-		icRes, err := ic3.CheckInvariant(sys.Compile(), prop, ic3.Options{})
+		icRes, err := ic3.CheckInvariantCtx(context.Background(), sys.Compile(), prop, ic3.Options{})
 		if err != nil {
 			t.Logf("seed %d: ic3: %v", seed, err)
 			return false
@@ -249,7 +249,7 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 		}
 		// k-induction (no simple-path): sound in both directions, but may
 		// return holds-bounded — only definite verdicts are compared.
-		indRes, err := bmc.CheckInvariantInduction(sys.Compile(), prop, bmc.InductionOptions{MaxK: 30})
+		indRes, err := bmc.CheckInvariantInductionCtx(context.Background(), sys.Compile(), prop, bmc.InductionOptions{MaxK: 30})
 		if err != nil {
 			t.Logf("seed %d: induction: %v", seed, err)
 			return false
@@ -271,7 +271,7 @@ func TestRandomSystemsEnginesAgree(t *testing.T) {
 			// The violation is reachable; with the graph's BFS depth as
 			// bound, BMC must find it too.
 			depth := bfsDepth(g)
-			deepRes, err := bmc.CheckInvariant(sys.Compile(), prop, bmc.Options{MaxDepth: depth})
+			deepRes, err := bmc.CheckInvariantCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: depth})
 			if err != nil {
 				t.Logf("seed %d: bmc deep: %v", seed, err)
 				return false
@@ -319,7 +319,7 @@ func FuzzRandomLiveness(f *testing.F) {
 			Pred: gcl.Ge(gcl.X(v), gcl.C(v.Type, goal)),
 		}
 
-		expRes, err := explicit.CheckEventually(sys, prop, explicit.Options{MaxStates: 200_000})
+		expRes, err := explicit.CheckEventuallyCtx(context.Background(), sys, prop, explicit.Options{MaxStates: 200_000})
 		if err != nil {
 			t.Fatalf("seed %d: explicit: %v", seed, err)
 		}
@@ -372,7 +372,7 @@ func FuzzRandomLiveness(f *testing.F) {
 		// BMC: lasso refutation up to the depth bound, with the
 		// recurrence-diameter fallback upgrading to a definitive Holds on
 		// systems this small. Definite verdicts must agree.
-		bmcRes, err := bmc.CheckEventuallyRefute(sys.Compile(), prop, bmc.Options{MaxDepth: 25})
+		bmcRes, err := bmc.CheckEventuallyRefuteCtx(context.Background(), sys.Compile(), prop, bmc.Options{MaxDepth: 25})
 		if err != nil {
 			t.Fatalf("seed %d: bmc: %v", seed, err)
 		}

@@ -1,6 +1,7 @@
 package mc_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -59,9 +60,9 @@ func TestReorderVerdictMatrix(t *testing.T) {
 			return nil, err
 		}
 		if prop.Kind == mc.Eventually {
-			return eng.CheckEventually(prop)
+			return eng.CheckEventuallyCtx(context.Background(), prop)
 		}
-		return eng.CheckInvariant(prop)
+		return eng.CheckInvariantCtx(context.Background(), prop)
 	}
 
 	for _, c := range cells {

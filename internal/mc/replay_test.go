@@ -67,7 +67,7 @@ func TestReplaySafetyAllEngines(t *testing.T) {
 	sys, prop := model.Sys, model.Safety()
 	comp := sys.Compile()
 
-	expRes, err := explicit.CheckInvariant(sys, prop, explicit.Options{})
+	expRes, err := explicit.CheckInvariantCtx(context.Background(), sys, prop, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestReplaySafetyAllEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		symRes, err := eng.CheckInvariant(prop)
+		symRes, err := eng.CheckInvariantCtx(context.Background(), prop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,19 +89,19 @@ func TestReplaySafetyAllEngines(t *testing.T) {
 		}
 	}
 
-	bmcRes, err := bmc.CheckInvariant(comp, prop, bmc.Options{MaxDepth: 20})
+	bmcRes, err := bmc.CheckInvariantCtx(context.Background(), comp, prop, bmc.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayOracle(t, sys, prop, bmcRes, "bmc")
 
-	indRes, err := bmc.CheckInvariantInduction(comp, prop, bmc.InductionOptions{MaxK: 20})
+	indRes, err := bmc.CheckInvariantInductionCtx(context.Background(), comp, prop, bmc.InductionOptions{MaxK: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	replayOracle(t, sys, prop, indRes, "induction")
 
-	icRes, err := ic3.CheckInvariant(comp, prop, ic3.Options{})
+	icRes, err := ic3.CheckInvariantCtx(context.Background(), comp, prop, ic3.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestReplayLivenessLassos(t *testing.T) {
 	sys, prop := model.Sys, model.Liveness()
 	comp := sys.Compile()
 
-	expRes, err := explicit.CheckEventually(sys, prop, explicit.Options{})
+	expRes, err := explicit.CheckEventuallyCtx(context.Background(), sys, prop, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestReplayLivenessLassos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		symRes, err := eng.CheckEventually(prop)
+		symRes, err := eng.CheckEventuallyCtx(context.Background(), prop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestReplayLivenessLassos(t *testing.T) {
 		}
 	}
 
-	bmcRes, err := bmc.CheckEventuallyRefute(comp, prop, bmc.Options{MaxDepth: 20})
+	bmcRes, err := bmc.CheckEventuallyRefuteCtx(context.Background(), comp, prop, bmc.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestReplayHubClique(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.CheckInvariant(prop)
+		res, err := eng.CheckInvariantCtx(context.Background(), prop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +206,7 @@ func TestReplayHubClique(t *testing.T) {
 		}
 	}
 
-	bmcRes, err := bmc.CheckInvariant(comp, prop, bmc.Options{MaxDepth: 20})
+	bmcRes, err := bmc.CheckInvariantCtx(context.Background(), comp, prop, bmc.Options{MaxDepth: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

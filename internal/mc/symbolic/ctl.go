@@ -10,18 +10,13 @@ import (
 	"ttastartup/internal/mc"
 )
 
-// CheckCTL evaluates a CTL formula by BDD fixpoint iteration over the
+// CheckCTLCtx evaluates a CTL formula by BDD fixpoint iteration over the
 // reachable states (successor-closedness of the reachable set makes the
 // restriction sound for queries about initial states). The verdict is
 // Holds when every initial state satisfies the formula; on violation the
 // trace contains one offending initial state (CTL counterexamples are
-// trees in general, so no linear trace is attempted).
-func (e *Engine) CheckCTL(name string, f *mc.CTLFormula) (*mc.Result, error) {
-	return e.CheckCTLCtx(context.Background(), name, f)
-}
-
-// CheckCTLCtx is CheckCTL with cancellation plumbed into the reachability
-// fixpoint and the formula's EF/EG/EU fixpoints.
+// trees in general, so no linear trace is attempted). Cancellation of ctx
+// reaches the reachability fixpoint and the formula's EF/EG/EU fixpoints.
 func (e *Engine) CheckCTLCtx(ctx context.Context, name string, f *mc.CTLFormula) (*mc.Result, error) {
 	run := mc.StartRun(e.opts.Obs, EngineName, name)
 	reach, err := e.ReachableCtx(ctx)

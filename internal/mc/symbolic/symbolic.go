@@ -31,23 +31,10 @@ type Options struct {
 	// NoTrace disables counterexample layer retention (saves memory on
 	// large proofs where only the verdict matters).
 	NoTrace bool
-	// ClusterLimit, when positive, merges adjacent per-module transition
-	// relations while the conjunction stays below this BDD node count,
-	// trading fewer relational-product passes for larger operands. Off by
-	// default: on the TTA models it buys ~15% time at roughly double the
-	// peak node count (see TestClusterComparison's log).
-	ClusterLimit int
 	// Obs receives fixpoint-iteration gauges, per-layer frame spans, BDD
 	// node counter events, and the engine span. The zero value disables
 	// instrumentation.
 	Obs obs.Scope
-}
-
-func (o Options) clusterLimit() int {
-	if o.ClusterLimit < 0 {
-		return 0
-	}
-	return o.ClusterLimit
 }
 
 func (o Options) maxIter() int {
@@ -185,26 +172,6 @@ func (e *Engine) build() {
 		rels[i] = e.m.Protect(e.fromCircuit(mr.Rel, cache))
 	}
 
-	// Cluster adjacent module relations while the conjunction stays small:
-	// fewer relational-product passes with comparably sized operands.
-	if limit := e.opts.clusterLimit(); limit > 0 && len(rels) > 1 {
-		clustered := make([]bdd.Ref, 0, len(rels))
-		cur := rels[0]
-		for _, r := range rels[1:] {
-			merged := e.m.And(cur, r)
-			if e.m.Size(merged) <= limit {
-				e.m.Unprotect(cur)
-				e.m.Unprotect(r)
-				cur = e.m.Protect(merged)
-				continue
-			}
-			clustered = append(clustered, cur)
-			cur = r
-		}
-		clustered = append(clustered, cur)
-		rels = clustered
-	}
-
 	// Early-quantification schedule: a variable is quantified right after
 	// the last relation (in partition order) that mentions it.
 	lastAt := make(map[int]int, nin)
@@ -292,11 +259,6 @@ func (e *Engine) Preimage(s bdd.Ref) bdd.Ref {
 	return acc
 }
 
-// Reachable computes (and caches) the reachable state set.
-func (e *Engine) Reachable() (bdd.Ref, error) {
-	return e.ReachableCtx(context.Background())
-}
-
 // ReachableCtx computes (and caches) the reachable state set, polling ctx
 // once per frontier iteration. A cancelled computation leaves no partial
 // cache: a later call restarts the fixpoint from the initial states.
@@ -369,16 +331,12 @@ func (e *Engine) maybeGC(extra ...bdd.Ref) {
 
 // CountStates returns the exact number of reachable states.
 func (e *Engine) CountStates() (*big.Int, error) {
-	r, err := e.Reachable()
+	r, err := e.ReachableCtx(context.Background())
 	if err != nil {
 		return nil, err
 	}
 	return e.m.SatCount(r, e.curVars), nil
 }
-
-// Iterations returns the number of reachability fixpoint iterations (the
-// diameter of the state graph plus one).
-func (e *Engine) Iterations() int { return e.iters }
 
 // fillStats writes the engine's measurements into a run's Stats; the
 // run itself stamps Engine and Duration so every engine reports timing
@@ -399,16 +357,11 @@ func (e *Engine) fillStats(st *mc.Stats) {
 	st.Reorders = e.m.SnapshotStats().Reorders
 }
 
-// CheckInvariant checks G(pred) symbolically.
-func (e *Engine) CheckInvariant(prop mc.Property) (*mc.Result, error) {
-	return e.CheckInvariantCtx(context.Background(), prop)
-}
-
-// CheckInvariantCtx is CheckInvariant with cancellation plumbed into the
-// reachability fixpoint.
+// CheckInvariantCtx checks G(pred) symbolically. Cancellation of ctx
+// reaches the reachability fixpoint.
 func (e *Engine) CheckInvariantCtx(ctx context.Context, prop mc.Property) (*mc.Result, error) {
 	if prop.Kind != mc.Invariant {
-		return nil, fmt.Errorf("symbolic: CheckInvariant on %v property", prop.Kind)
+		return nil, fmt.Errorf("symbolic: CheckInvariantCtx on %v property", prop.Kind)
 	}
 	run := mc.StartRun(e.opts.Obs, EngineName, prop.Name)
 	reach, err := e.ReachableCtx(ctx)
@@ -436,18 +389,13 @@ func (e *Engine) CheckInvariantCtx(ctx context.Context, prop mc.Property) (*mc.R
 	return res, nil
 }
 
-// CheckEventually checks F(pred) on all paths (AF pred): a violation is an
-// infinite execution avoiding pred, i.e. Init ∩ EG(¬pred) ≠ ∅ within the
-// reachable states.
-func (e *Engine) CheckEventually(prop mc.Property) (*mc.Result, error) {
-	return e.CheckEventuallyCtx(context.Background(), prop)
-}
-
-// CheckEventuallyCtx is CheckEventually with cancellation plumbed into both
-// the reachability and the EG greatest-fixpoint loops.
+// CheckEventuallyCtx checks F(pred) on all paths (AF pred): a violation is
+// an infinite execution avoiding pred, i.e. Init ∩ EG(¬pred) ≠ ∅ within
+// the reachable states. Cancellation of ctx reaches both the reachability
+// and the EG greatest-fixpoint loops.
 func (e *Engine) CheckEventuallyCtx(ctx context.Context, prop mc.Property) (*mc.Result, error) {
 	if prop.Kind != mc.Eventually {
-		return nil, fmt.Errorf("symbolic: CheckEventually on %v property", prop.Kind)
+		return nil, fmt.Errorf("symbolic: CheckEventuallyCtx on %v property", prop.Kind)
 	}
 	run := mc.StartRun(e.opts.Obs, EngineName, prop.Name)
 	reach, err := e.ReachableCtx(ctx)
@@ -501,7 +449,7 @@ func (e *Engine) CheckEventuallyCtx(ctx context.Context, prop mc.Property) (*mc.
 func (e *Engine) CheckDeadlockFree() (*mc.Result, error) {
 	prop := mc.Property{Name: "deadlock-free", Kind: mc.Invariant, Pred: gcl.True()}
 	run := mc.StartRun(e.opts.Obs, EngineName, prop.Name)
-	reach, err := e.Reachable()
+	reach, err := e.ReachableCtx(context.Background())
 	if err != nil {
 		run.Abort(err)
 		return nil, err

@@ -1,6 +1,7 @@
 package symbolic_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +118,7 @@ func TestReachableIsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach, err := eng.Reachable()
+	reach, err := eng.ReachableCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestFullFlowInPackage(t *testing.T) {
 	typ := gcl.IntType("c", 5)
 	inv := mc.Property{Name: "y-in-range", Kind: mc.Invariant,
 		Pred: gcl.Le(gcl.X(bv), gcl.C(typ, 4))}
-	res, err := eng.CheckInvariant(inv)
+	res, err := eng.CheckInvariantCtx(context.Background(), inv)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestFullFlowInPackage(t *testing.T) {
 
 	bad := mc.Property{Name: "x-avoids-3", Kind: mc.Invariant,
 		Pred: gcl.Ne(gcl.X(av), gcl.C(typ, 3))}
-	resBad, err := eng.CheckInvariant(bad)
+	resBad, err := eng.CheckInvariantCtx(context.Background(), bad)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +168,13 @@ func TestFullFlowInPackage(t *testing.T) {
 
 	live := mc.Property{Name: "y-reaches-4", Kind: mc.Eventually,
 		Pred: gcl.Eq(gcl.X(bv), gcl.C(typ, 4))}
-	resLive, err := eng.CheckEventually(live)
+	resLive, err := eng.CheckEventuallyCtx(context.Background(), live)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// b may "hold" below 3 forever only while y < 3; x keeps moving and b
 	// tracks x nondeterministically — verify agreement with explicit.
-	expRes, err := explicit.CheckEventually(sys, live, explicit.Options{})
+	expRes, err := explicit.CheckEventuallyCtx(context.Background(), sys, live, explicit.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestFullFlowInPackage(t *testing.T) {
 		t.Errorf("deadlock-free: %v", dl.Verdict)
 	}
 
-	ctl, err := eng.CheckCTL("ef-x3", mc.CTLEF(mc.CTLAtom(gcl.Eq(gcl.X(av), gcl.C(typ, 3)))))
+	ctl, err := eng.CheckCTLCtx(context.Background(), "ef-x3", mc.CTLEF(mc.CTLAtom(gcl.Eq(gcl.X(av), gcl.C(typ, 3)))))
 	if err != nil {
 		t.Fatal(err)
 	}

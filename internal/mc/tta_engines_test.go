@@ -95,9 +95,9 @@ func TestTTAEnginesAgree(t *testing.T) {
 
 			var expRes *mc.Result
 			if eventually {
-				expRes, err = explicit.CheckEventually(tc.sys, tc.prop, explicit.Options{})
+				expRes, err = explicit.CheckEventuallyCtx(context.Background(), tc.sys, tc.prop, explicit.Options{})
 			} else {
-				expRes, err = explicit.CheckInvariant(tc.sys, tc.prop, explicit.Options{})
+				expRes, err = explicit.CheckInvariantCtx(context.Background(), tc.sys, tc.prop, explicit.Options{})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -108,9 +108,9 @@ func TestTTAEnginesAgree(t *testing.T) {
 			}
 			var symRes *mc.Result
 			if eventually {
-				symRes, err = eng.CheckEventually(tc.prop)
+				symRes, err = eng.CheckEventuallyCtx(context.Background(), tc.prop)
 			} else {
-				symRes, err = eng.CheckInvariant(tc.prop)
+				symRes, err = eng.CheckInvariantCtx(context.Background(), tc.prop)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -130,9 +130,9 @@ func TestTTAEnginesAgree(t *testing.T) {
 
 			var bmcRes *mc.Result
 			if eventually {
-				bmcRes, err = bmc.CheckEventuallyRefute(comp, tc.prop, bmc.Options{MaxDepth: depth})
+				bmcRes, err = bmc.CheckEventuallyRefuteCtx(context.Background(), comp, tc.prop, bmc.Options{MaxDepth: depth})
 			} else {
-				bmcRes, err = bmc.CheckInvariant(comp, tc.prop, bmc.Options{MaxDepth: depth})
+				bmcRes, err = bmc.CheckInvariantCtx(context.Background(), comp, tc.prop, bmc.Options{MaxDepth: depth})
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +145,7 @@ func TestTTAEnginesAgree(t *testing.T) {
 			if eventually {
 				indRes, err = core.Check(context.Background(), tc.sys, tc.prop, core.EngineInduction, core.Options{BMCDepth: indOpts.MaxK})
 			} else {
-				indRes, err = bmc.CheckInvariantInduction(comp, tc.prop, indOpts)
+				indRes, err = bmc.CheckInvariantInductionCtx(context.Background(), comp, tc.prop, indOpts)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -158,7 +158,7 @@ func TestTTAEnginesAgree(t *testing.T) {
 			if eventually {
 				icRes, err = core.Check(context.Background(), tc.sys, tc.prop, core.EngineIC3, core.Options{IC3: icOpts})
 			} else {
-				icRes, err = ic3.CheckInvariant(comp, tc.prop, icOpts)
+				icRes, err = ic3.CheckInvariantCtx(context.Background(), comp, tc.prop, icOpts)
 			}
 			if err != nil {
 				t.Fatal(err)

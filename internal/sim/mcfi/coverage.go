@@ -238,23 +238,48 @@ func (sp Spec) ModelConfigs() ([]NamedConfig, error) {
 	return out, nil
 }
 
-// ModelAbstractUnion explores each configuration exhaustively and returns
-// the union of their abstract-code sets with the per-configuration detail.
-// The union is the exhaustive reference a campaign's visited set is
-// compared against: for an in-hypothesis campaign at the same scope,
-// visited ⊆ union (the conformance theorem lifted to the abstraction).
-func ModelAbstractUnion(cfgs []NamedConfig, maxStates int) (map[uint64]struct{}, []ModelCoverage, error) {
+// Coverage compares a campaign's visited abstract states with the
+// verified model's at the same scope.
+type Coverage struct {
+	Visited int // distinct abstract states the campaign visited
+	Model   int // abstract states in the model union
+	// Outside counts visited states outside the model union; for an
+	// in-hypothesis campaign it must be 0.
+	Outside int
+	Configs []ModelCoverage
+}
+
+// Inside returns the number of visited abstract states the model reaches.
+func (c Coverage) Inside() int { return c.Visited - c.Outside }
+
+// CompareCoverage explores each model configuration behind sp's mix
+// (ModelConfigs) exhaustively and compares the union of their
+// abstract-code sets with visited, a report's Visited set. The union is
+// the exhaustive reference: for an in-hypothesis campaign at the same
+// scope, visited ⊆ union (the conformance theorem lifted to the
+// abstraction).
+func CompareCoverage(sp Spec, visited map[uint64]struct{}) (Coverage, error) {
+	cfgs, err := sp.ModelConfigs()
+	if err != nil {
+		return Coverage{}, err
+	}
+	c := Coverage{Visited: len(visited)}
 	union := make(map[uint64]struct{})
-	var detail []ModelCoverage
-	for _, c := range cfgs {
-		codes, reachable, err := ModelAbstract(c.Cfg, maxStates)
+	for _, nc := range cfgs {
+		codes, reachable, err := ModelAbstract(nc.Cfg, 0)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", c.Name, err)
+			return Coverage{}, fmt.Errorf("%s: %w", nc.Name, err)
 		}
 		for code := range codes {
 			union[code] = struct{}{}
 		}
-		detail = append(detail, ModelCoverage{Name: c.Name, Reachable: reachable, AbstractStates: len(codes)})
+		c.Configs = append(c.Configs, ModelCoverage{Name: nc.Name, Reachable: reachable, AbstractStates: len(codes)})
 	}
-	return union, detail, nil
+	c.Model = len(union)
+	for code := range visited {
+		if _, ok := union[code]; !ok {
+			c.Outside++
+		}
+	}
+	return c, nil
 }

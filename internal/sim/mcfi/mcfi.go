@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -322,6 +323,11 @@ type CorpusEntry struct {
 	Desc string `json:"desc"`
 }
 
+// HasReason reports whether reason is among the entry's Reasons.
+func (e CorpusEntry) HasReason(reason string) bool {
+	return slices.Contains(e.Reasons, reason)
+}
+
 // Report is a campaign's deterministic result. It carries no wall-clock
 // data: an interrupted-and-resumed campaign renders byte-identically to an
 // uninterrupted one (timings go to the obs registry and BENCH_sim.json
@@ -349,9 +355,8 @@ type Report struct {
 
 	Corpus []CorpusEntry `json:"corpus"`
 
-	// Visited is the reduced abstract-state set behind CoverStates. It is
-	// not serialized; consumers of a checkpointed campaign re-reduce it via
-	// VisitedStates instead.
+	// Visited is the reduced abstract-state set behind CoverStates,
+	// resumed checkpoint records included. It is not serialized.
 	Visited map[uint64]struct{} `json:"-"`
 }
 

@@ -3,6 +3,7 @@ package mcfi
 import (
 	"bytes"
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,7 +60,8 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 
 // TestCheckpointResume: a campaign paused mid-way (StopAfterBatches) and
 // resumed from its checkpoint produces a final report byte-identical to an
-// uninterrupted run's.
+// uninterrupted run's, and the same visited abstract-state set: the
+// reducer folds the resumed checkpoint records into it.
 func TestCheckpointResume(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -84,6 +86,10 @@ func TestCheckpointResume(t *testing.T) {
 	a, b := renderJSON(t, resumed), renderJSON(t, straight)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("resumed and uninterrupted reports differ:\n%s\n----\n%s", a, b)
+	}
+	if len(resumed.Visited) == 0 || !maps.Equal(resumed.Visited, straight.Visited) {
+		t.Fatalf("resumed run visited %d abstract states, uninterrupted %d (or the sets differ)",
+			len(resumed.Visited), len(straight.Visited))
 	}
 }
 
@@ -233,43 +239,24 @@ func TestCoverageSubsetOfModel(t *testing.T) {
 			sim.ScenRestart.String():    2,
 		},
 	}
-	dir := t.TempDir()
-	ck := filepath.Join(dir, "campaign.jsonl")
-	rep, err := Run(context.Background(), sp, RunOptions{Workers: 2, Checkpoint: ck})
+	rep, err := Run(context.Background(), sp, RunOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	visited, err := VisitedStates(ck, sp)
+	if len(rep.Visited) != rep.CoverStates {
+		t.Fatalf("report visited %d states, counts %d", len(rep.Visited), rep.CoverStates)
+	}
+	c, err := CompareCoverage(sp, rep.Visited)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(visited) != rep.CoverStates {
-		t.Fatalf("checkpoint reduces to %d states, report says %d", len(visited), rep.CoverStates)
-	}
-	cfgs, err := sp.ModelConfigs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	union, detail, err := ModelAbstractUnion(cfgs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range detail {
+	for _, d := range c.Configs {
 		if d.Reachable == 0 || d.AbstractStates == 0 {
 			t.Fatalf("model config %s explored no states", d.Name)
 		}
 	}
-	outside := 0
-	var sample uint64
-	for code := range visited {
-		if _, ok := union[code]; !ok {
-			outside++
-			sample = code
-		}
-	}
-	if outside > 0 {
-		t.Fatalf("%d of %d visited abstract states are outside the model union (e.g. %#x)",
-			outside, len(visited), sample)
+	if c.Outside > 0 {
+		t.Fatalf("%d of %d visited abstract states are outside the model union", c.Outside, c.Visited)
 	}
 }
 

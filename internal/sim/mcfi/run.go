@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"ttastartup/internal/campaign"
-	"ttastartup/internal/jsonl"
 	"ttastartup/internal/obs"
 	"ttastartup/internal/tta/sim"
 )
@@ -441,22 +440,4 @@ func (rd *reducer) finish(batches int, completed bool) *Report {
 	rd.rep.CoverEdges = len(rd.edges)
 	rd.rep.Visited = rd.states
 	return rd.rep
-}
-
-// VisitedStates exposes the reduced abstract-state set of a report's
-// campaign for coverage comparison. It re-reads the checkpoint's intact
-// prefix without modifying the file, so it is only available when one was
-// written.
-func VisitedStates(checkpoint string, sp Spec) (map[uint64]struct{}, error) {
-	ck := ckDecoder{path: checkpoint, digest: sp.Normalize().Digest()}
-	if err := jsonl.Scan(checkpoint, ck.line); err != nil {
-		return nil, err
-	}
-	visited := make(map[uint64]struct{})
-	for i := range ck.done {
-		for _, code := range ck.done[i].States {
-			visited[code] = struct{}{}
-		}
-	}
-	return visited, nil
 }

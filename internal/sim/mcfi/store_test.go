@@ -78,8 +78,8 @@ func TestCheckpointEveryTear(t *testing.T) {
 		st.Close()
 	}
 
-	// The read-only VisitedStates and a resume under a mismatched spec
-	// both leave every byte in place, torn tail included.
+	// A resume under a mismatched spec leaves every byte in place, torn
+	// tail included.
 	torn := data[:len(data)-3]
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
@@ -90,10 +90,6 @@ func TestCheckpointEveryTear(t *testing.T) {
 			t.Fatalf("%s modified the checkpoint (err %v)", what, err)
 		}
 	}
-	if visited, err := VisitedStates(path, sp); err != nil || len(visited) == 0 {
-		t.Fatalf("VisitedStates: %d states, err %v", len(visited), err)
-	}
-	unchanged("VisitedStates")
 	other := sp
 	other.Seed++
 	if _, err := OpenStore(path, other, true); err == nil {

@@ -1,6 +1,7 @@
 package original
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -34,14 +35,14 @@ func TestFaultFreeCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.CheckInvariant(m.Safety())
+		res, err := eng.CheckInvariantCtx(context.Background(), m.Safety())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Verdict != mc.Holds {
 			t.Errorf("n=%d: safety %v", n, res.Verdict)
 		}
-		live, err := eng.CheckEventually(m.Liveness())
+		live, err := eng.CheckEventuallyCtx(context.Background(), m.Liveness())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestExplicitSymbolicAgree(t *testing.T) {
 		cfg := DefaultConfig(3)
 		cfg.FaultyNode = faulty
 		m := MustBuild(cfg)
-		g, err := explicit.Explore(m.Sys, explicit.Options{})
+		g, err := explicit.ExploreCtx(context.Background(), m.Sys, explicit.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestFaultyNodeBreaksSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.CheckInvariant(m.Safety())
+	res, err := eng.CheckInvariantCtx(context.Background(), m.Safety())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestFaultyNodeBreaksSafety(t *testing.T) {
 func TestStateCountGrowsWithN(t *testing.T) {
 	prev := 0
 	for _, n := range []int{3, 4, 5} {
-		g, err := explicit.Explore(MustBuild(DefaultConfig(n)).Sys, explicit.Options{})
+		g, err := explicit.ExploreCtx(context.Background(), MustBuild(DefaultConfig(n)).Sys, explicit.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

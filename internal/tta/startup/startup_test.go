@@ -1,6 +1,7 @@
 package startup
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,9 +38,9 @@ func check(t *testing.T, m *Model, eng *symbolic.Engine, prop mc.Property, want 
 	var res *mc.Result
 	var err error
 	if prop.Kind == mc.Eventually {
-		res, err = eng.CheckEventually(prop)
+		res, err = eng.CheckEventuallyCtx(context.Background(), prop)
 	} else {
-		res, err = eng.CheckInvariant(prop)
+		res, err = eng.CheckInvariantCtx(context.Background(), prop)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", prop.Name, err)
@@ -200,7 +201,7 @@ func TestBigBangNecessityFaultyNode(t *testing.T) {
 	cfg := quickCfg(4).WithFaultyHub(0)
 	cfg.DisableBigBang = true
 	m, eng := engine(t, cfg)
-	res, err := eng.CheckInvariant(m.Safety())
+	res, err := eng.CheckInvariantCtx(context.Background(), m.Safety())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestTimelinessTight(t *testing.T) {
 	m, eng := engine(t, quickCfg(3).WithFaultyNode(0))
 	wsup := -1
 	for bound := 5; bound < 20; bound++ {
-		res, err := eng.CheckInvariant(m.Timeliness(bound))
+		res, err := eng.CheckInvariantCtx(context.Background(), m.Timeliness(bound))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,7 +313,7 @@ func TestInterlinksNecessity(t *testing.T) {
 	cfg.DeltaInit = 6
 	cfg.DisableInterlinks = true
 	m, eng := engine(t, cfg)
-	res, err := eng.CheckInvariant(m.HubsAgree())
+	res, err := eng.CheckInvariantCtx(context.Background(), m.HubsAgree())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestRecoveryCTL(t *testing.T) {
 	cfg.RestartableNodes = true
 	m, eng := engine(t, cfg)
 	f := m.Recovery()
-	res, err := eng.CheckCTL("recovery", f)
+	res, err := eng.CheckCTLCtx(context.Background(), "recovery", f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +377,7 @@ func TestFormatTimeline(t *testing.T) {
 	cfg.DeltaInit = 6
 	cfg.DisableBigBang = true
 	m, eng := engine(t, cfg)
-	res, err := eng.CheckInvariant(m.Safety())
+	res, err := eng.CheckInvariantCtx(context.Background(), m.Safety())
 	if err != nil {
 		t.Fatal(err)
 	}
