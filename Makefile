@@ -26,12 +26,13 @@ vet:
 build:
 	$(GO) build ./...
 
-# perfbench is a nested module, so `go build ./...` at the root skips it;
-# this keeps a broken internal API from surfacing only when the benchmark
-# runs.
+# perfbench is a nested module, so `go build ./...` and `go test ./...` at
+# the root skip it; this keeps a broken internal API from surfacing only
+# when the benchmark runs, and runs its tests (TestTracedUnitsMatchTable
+# ties the traced pipeline copy to the committed expected tables).
 .PHONY: perfbench-build
 perfbench-build:
-	cd perfbench && $(GO) vet ./... && $(GO) build ./...
+	cd perfbench && $(GO) vet ./... && $(GO) build ./... && $(GO) test ./...
 
 .PHONY: test
 test:

@@ -1,12 +1,14 @@
 // Command ttalint runs the gcl static analyzer over the built-in TTA
 // startup models and reports diagnostics (stable GCLnnn codes with model
-// locations and, for the BDD-backed checks, concrete witnesses).
+// locations and, for the BDD-backed checks, concrete witnesses). Each
+// model is a campaign job's, built by campaign.BuildModel, and is linted
+// against the predicates of every lemma its topology defines.
 //
 // Examples:
 //
 //	ttalint -n 3 -faulty-node 1 -degree 6
 //	ttalint -topology bus -n 4 -faulty-node 0 -degree 3
-//	ttalint -all            (sweep every shipped configuration)
+//	ttalint -all            (sweep the 20 shipped configurations)
 //	ttalint -all -j 8       (the sweep on eight workers)
 //	ttalint -all -json      (machine-readable reports)
 //
@@ -18,75 +20,79 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ttastartup/internal/bdd"
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
-	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/lint"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ttalint:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
-		n          = flag.Int("n", 3, "cluster size (number of nodes)")
-		topology   = flag.String("topology", "hub", "model topology: hub (star, the paper's main model) or bus (Section 3 baseline)")
-		faultyNode = flag.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
-		faultyHub  = flag.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none, hub topology only)")
-		degree     = flag.Int("degree", 6, "fault degree (hub topology: 1..6, bus: 1..3)")
-		deltaInit  = flag.Int("delta-init", 0, "power-on window in slots (0: the paper's default)")
-		noFeedback = flag.Bool("no-feedback", false, "disable the feedback state-space reduction")
-		noBigBang  = flag.Bool("no-big-bang", false, "disable the big-bang mechanism")
-		noILinks   = flag.Bool("no-interlinks", false, "sever the guardian interlinks")
-		restart    = flag.Bool("restartable", false, "allow one transient restart per correct node")
-		all        = flag.Bool("all", false, "lint every shipped configuration (both topologies, big-bang on/off, all fault degrees)")
-		jsonOut    = flag.Bool("json", false, "emit JSON reports")
-		nodeLimit  = flag.Int("bdd-nodes", 0, "BDD node limit (0: default)")
-		workers    = flag.Int("j", 1, "with -all, lint this many models concurrently (0: GOMAXPROCS)")
+		n          = fs.Int("n", 3, "cluster size (number of nodes)")
+		topology   = fs.String("topology", "hub", "model topology: hub (star, the paper's main model) or bus (Section 3 baseline)")
+		faultyNode = fs.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
+		faultyHub  = fs.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none, hub topology only)")
+		degree     = fs.Int("degree", 6, "fault degree (hub topology: 1..6, bus: 1..3)")
+		deltaInit  = fs.Int("delta-init", 0, "power-on window in slots (0: the paper's default)")
+		noFeedback = fs.Bool("no-feedback", false, "disable the feedback state-space reduction")
+		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism")
+		noILinks   = fs.Bool("no-interlinks", false, "sever the guardian interlinks")
+		restart    = fs.Bool("restartable", false, "allow one transient restart per correct node")
+		all        = fs.Bool("all", false, "lint every shipped configuration (both topologies, big-bang on/off, all fault degrees)")
+		jsonOut    = fs.Bool("json", false, "emit JSON reports")
+		nodeLimit  = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
+		workers    = fs.Int("j", 1, "with -all, lint this many models concurrently (0: GOMAXPROCS)")
 	)
-	flag.Parse()
-
-	var targets []target
-	if *all {
-		var err error
-		targets, err = allTargets(*n)
-		if err != nil {
-			return err
-		}
-	} else {
-		tg, err := oneTarget(*topology, startupConfig(*n, *faultyNode, *faultyHub, *degree, *deltaInit,
-			*noFeedback, *noBigBang, *noILinks, *restart), *faultyNode, *degree, *deltaInit)
-		if err != nil {
-			return err
-		}
-		targets = []target{tg}
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
 
-	// Lint on a bounded pool (each model gets its own analyzer and BDD
-	// manager, so runs are independent); reports land at their input index,
-	// keeping the output order deterministic regardless of -j. Every check
-	// on a system shares one compiled context, and the model's lemma
-	// predicates feed the cone-of-influence pass (GCL011).
-	reports := make([]*lint.Report, len(targets))
-	err := campaign.ForEach(context.Background(), *workers, len(targets), func(ctx context.Context, _, i int) error {
-		tg := targets[i]
+	jobs := []campaign.Job{{
+		Topology:     *topology,
+		N:            *n,
+		BigBang:      *topology == campaign.TopologyHub && !*noBigBang,
+		FaultyNode:   *faultyNode,
+		FaultyHub:    *faultyHub,
+		Degree:       *degree,
+		DeltaInit:    *deltaInit,
+		NoFeedback:   *noFeedback,
+		NoInterlinks: *noILinks,
+		Restartable:  *restart,
+	}}
+	if *all {
+		jobs = allJobs(*n)
+	}
+
+	// Build and lint on a bounded pool (each model gets its own analyzer
+	// and BDD manager, so runs are independent); reports land at their
+	// input index, keeping the output order deterministic regardless of
+	// -j. Every check on a system shares one compiled context, and the
+	// model's lemma predicates feed the cone-of-influence pass (GCL011).
+	reports := make([]*lint.Report, len(jobs))
+	err := campaign.ForEach(context.Background(), *workers, len(jobs), func(ctx context.Context, _, i int) error {
+		m, err := campaign.BuildModel(jobs[i], core.Options{})
+		if err != nil {
+			return err
+		}
 		opts := lint.Options{
 			BDD:      bdd.Config{NodeLimit: *nodeLimit},
-			Preds:    tg.preds,
-			Compiled: tg.sys.Compile(),
+			Preds:    m.Preds(),
+			Compiled: m.Compiled(),
 		}
-		rep, lerr := lint.Run(tg.sys, opts)
+		rep, lerr := lint.Run(m.Sys, opts)
 		if lerr != nil {
-			return fmt.Errorf("%s: %w", tg.sys.Name, lerr)
+			return fmt.Errorf("%s: %w", m.Sys.Name, lerr)
 		}
 		reports[i] = rep
 		return nil
@@ -97,7 +103,7 @@ func run() error {
 
 	errors := 0
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
 			return err
@@ -107,10 +113,10 @@ func run() error {
 		}
 	} else {
 		for _, rep := range reports {
-			rep.Format(os.Stdout)
+			rep.Format(stdout)
 			errors += rep.Count(lint.Error)
 		}
-		fmt.Printf("linted %d model(s): %d error-level diagnostic(s)\n", len(reports), errors)
+		fmt.Fprintf(stdout, "linted %d model(s): %d error-level diagnostic(s)\n", len(reports), errors)
 	}
 	if errors > 0 {
 		return fmt.Errorf("%d error-level diagnostic(s)", errors)
@@ -118,118 +124,27 @@ func run() error {
 	return nil
 }
 
-func startupConfig(n, faultyNode, faultyHub, degree, deltaInit int, noFeedback, noBigBang, noILinks, restart bool) startup.Config {
-	cfg := startup.DefaultConfig(n)
-	cfg.FaultyNode = faultyNode
-	cfg.FaultyHub = faultyHub
-	cfg.FaultDegree = degree
-	cfg.DeltaInit = deltaInit
-	cfg.Feedback = !noFeedback
-	cfg.DisableBigBang = noBigBang
-	cfg.DisableInterlinks = noILinks
-	cfg.RestartableNodes = restart
-	return cfg
-}
-
-// A target pairs a model's system with the lemma predicates checked
-// against it, so the linter knows the properties' cones of influence.
-type target struct {
-	sys   *gcl.System
-	preds []gcl.Expr
-}
-
-// hubTarget builds the hub model of cfg with the predicates of the
-// lemmas ttamc checks on it, the paper's four and the sanity set, as
-// core.Suite.Property states them.
-func hubTarget(cfg startup.Config) (target, error) {
-	s, err := core.NewSuite(cfg, core.Options{})
-	if err != nil {
-		return target{}, err
-	}
-	var preds []gcl.Expr
-	for _, l := range append(core.AllLemmas(), core.SanityLemmas()...) {
-		p, err := s.Property(l)
-		if err != nil {
-			return target{}, err
-		}
-		preds = append(preds, p.Pred)
-	}
-	return target{sys: s.Model.Sys, preds: preds}, nil
-}
-
-func busTarget(m *original.Model) target {
-	return target{sys: m.Sys, preds: []gcl.Expr{m.Safety().Pred, m.Liveness().Pred}}
-}
-
-func oneTarget(topology string, cfg startup.Config, faultyNode, degree, deltaInit int) (target, error) {
-	switch topology {
-	case "hub":
-		return hubTarget(cfg)
-	case "bus":
-		ocfg := original.DefaultConfig(cfg.N)
-		ocfg.FaultyNode = faultyNode
-		if faultyNode >= 0 {
-			ocfg.FaultDegree = degree
-		}
-		ocfg.DeltaInit = deltaInit
-		m, err := original.Build(ocfg)
-		if err != nil {
-			return target{}, err
-		}
-		return busTarget(m), nil
-	default:
-		return target{}, fmt.Errorf("unknown topology %q (want hub or bus)", topology)
-	}
-}
-
-// allTargets builds the sweep the regression gate runs: the hub-topology
+// allJobs lists the sweep the regression gate runs: the hub-topology
 // model with big-bang on and off, fault-free, with a faulty hub, and with a
 // faulty node at every degree 1..6; plus the bus-topology baseline
-// fault-free and at every degree 1..3.
-func allTargets(n int) ([]target, error) {
-	var targets []target
+// fault-free and at every degree 1..3. Only the configuration fields
+// matter; lint checks every lemma of a model at once.
+func allJobs(n int) []campaign.Job {
+	var jobs []campaign.Job
+	add := func(topology string, bigBang bool, faultyNode, faultyHub, degree int) {
+		jobs = append(jobs, campaign.Job{Topology: topology, N: n, BigBang: bigBang,
+			FaultyNode: faultyNode, FaultyHub: faultyHub, Degree: degree})
+	}
 	for _, bigBang := range []bool{true, false} {
-		add := func(cfg startup.Config) error {
-			cfg.DisableBigBang = !bigBang
-			tg, err := hubTarget(cfg)
-			if err != nil {
-				return err
-			}
-			targets = append(targets, tg)
-			return nil
-		}
-		if err := add(startup.DefaultConfig(n)); err != nil {
-			return nil, err
-		}
-		if err := add(startup.DefaultConfig(n).WithFaultyHub(0)); err != nil {
-			return nil, err
-		}
+		add(campaign.TopologyHub, bigBang, -1, -1, 0)
+		add(campaign.TopologyHub, bigBang, -1, 0, 0)
 		for deg := 1; deg <= 6; deg++ {
-			cfg := startup.DefaultConfig(n).WithFaultyNode(1)
-			cfg.FaultDegree = deg
-			if err := add(cfg); err != nil {
-				return nil, err
-			}
+			add(campaign.TopologyHub, bigBang, 1, -1, deg)
 		}
 	}
-	addBus := func(cfg original.Config) error {
-		m, err := original.Build(cfg)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, busTarget(m))
-		return nil
-	}
-	if err := addBus(original.DefaultConfig(n)); err != nil {
-		return nil, err
-	}
+	add(campaign.TopologyBus, false, -1, -1, 0)
 	for deg := 1; deg <= 3; deg++ {
-		cfg := original.DefaultConfig(n)
-		cfg.FaultyNode = 1
-		cfg.FaultDegree = deg
-		if err := addBus(cfg); err != nil {
-			return nil, err
-		}
+		add(campaign.TopologyBus, false, 1, -1, deg)
 	}
-	return targets, nil
+	return jobs
 }

@@ -1,6 +1,7 @@
-// Command ttamc model checks the TTA startup algorithm: it builds the
-// cluster model for the requested configuration and verifies the paper's
-// lemmas with the chosen engine.
+// Command ttamc model checks the TTA startup algorithm: its configuration
+// flags form one campaign job, whose model campaign.BuildModel builds (and
+// refuses when the settings contradict each other or the topology), and
+// it verifies the requested lemmas on that model with the chosen engine.
 //
 // Examples:
 //
@@ -26,16 +27,12 @@ import (
 	"time"
 
 	"ttastartup/internal/bdd"
+	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
-	"ttastartup/internal/gcl"
 	"ttastartup/internal/gcl/lint"
 	"ttastartup/internal/mc"
-	"ttastartup/internal/mc/explicit"
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/obs"
-	"ttastartup/internal/tta"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
 )
 
 func main() {
@@ -100,7 +97,10 @@ func run(args []string) (err error) {
 		}
 	}()
 
-	if *model == "bus" {
+	if *model != campaign.TopologyHub && *model != campaign.TopologyBus {
+		return fmt.Errorf("unknown -model %q (want hub or bus)", *model)
+	}
+	if *model == campaign.TopologyBus {
 		// The bus model has exactly the paper's two properties and fault
 		// degrees 1..3; keep the hub defaults only when set explicitly.
 		lemmaSet, degSet := false, false
@@ -118,57 +118,56 @@ func run(args []string) (err error) {
 		if !degSet {
 			*degree = 3
 		}
-		if *faultyHub >= 0 || *wcsup || *count || *restart {
-			return fmt.Errorf("-faulty-hub, -wcsup, -count and -restartable apply to the hub model only")
-		}
-		return runBus(scope, *n, *faultyNode, *degree, *deltaInit, *lemmas,
-			*engine, *depth, *nodeLimit, *reorder, *optimize, *cex, *dumpModel, *lintMode, *timeout)
 	}
-	if *model != "hub" {
-		return fmt.Errorf("unknown -model %q (want hub or bus)", *model)
+	job := campaign.Job{
+		Topology:     *model,
+		N:            *n,
+		BigBang:      *model == campaign.TopologyHub && !*noBigBang,
+		FaultyNode:   *faultyNode,
+		FaultyHub:    *faultyHub,
+		Degree:       *degree,
+		DeltaInit:    *deltaInit,
+		Lemma:        *lemmas,
+		Engine:       *engine,
+		NoFeedback:   *noFeedback,
+		NoCSPriority: *noCSPrio,
+		NoCSWindow:   *noCSWin,
+		NoInterlinks: *noILinks,
+		NoWatchdog:   *noWatchdog,
+		Restartable:  *restart,
 	}
-
-	cfg := startup.DefaultConfig(*n)
-	cfg.FaultyNode = *faultyNode
-	cfg.FaultyHub = *faultyHub
-	cfg.FaultDegree = *degree
-	cfg.DeltaInit = *deltaInit
-	cfg.Feedback = !*noFeedback
-	cfg.DisableBigBang = *noBigBang
-	cfg.DisableInterlinks = *noILinks
-	cfg.DisableCSPriority = *noCSPrio
-	cfg.DisableCSWindow = *noCSWin
-	cfg.DisableWatchdog = *noWatchdog
-	cfg.RestartableNodes = *restart
-
 	opts := core.Options{
 		Symbolic:        symbolic.Options{BDD: bdd.Config{NodeLimit: *nodeLimit, AutoReorder: *reorder}},
-		Explicit:        explicit.Options{},
 		BMCDepth:        *depth,
 		TimelinessBound: *bound,
 		Opt:             *optimize,
 		Obs:             scope,
 	}
-	suite, err := core.NewSuite(cfg, opts)
+	m, err := campaign.BuildModel(job, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model: %s  (faulty-node=%d faulty-hub=%d degree=%d δ_init=%d big-bang=%v feedback=%v)\n",
-		suite.Model.Sys.Name, cfg.FaultyNode, cfg.FaultyHub, cfg.FaultDegree,
-		cfg.DeltaInit, !cfg.DisableBigBang, cfg.Feedback)
-
-	var lintPreds []gcl.Expr
-	for _, l := range append(core.AllLemmas(), core.SanityLemmas()...) {
-		if p, perr := suite.Property(l); perr == nil {
-			lintPreds = append(lintPreds, p.Pred)
-		}
+	suite := m.Suite
+	if suite == nil && (*wcsup || *count) {
+		return fmt.Errorf("-wcsup and -count apply to the hub model only")
 	}
-	if err := lintGate(suite.Model.Sys, lintPreds, suite.Compiled(), *lintMode, *nodeLimit); err != nil {
+	if suite != nil {
+		cfg := suite.Cfg
+		fmt.Printf("model: %s  (faulty-node=%d faulty-hub=%d degree=%d δ_init=%d big-bang=%v feedback=%v)\n",
+			m.Sys.Name, cfg.FaultyNode, cfg.FaultyHub, cfg.FaultDegree,
+			cfg.DeltaInit, !cfg.DisableBigBang, cfg.Feedback)
+	} else {
+		cfg := m.Bus.Cfg
+		fmt.Printf("model: %s  (faulty-node=%d degree=%d δ_init=%d)\n",
+			m.Sys.Name, cfg.FaultyNode, cfg.FaultDegree, cfg.DeltaInit)
+	}
+
+	if err := lintGate(m, *lintMode, *nodeLimit); err != nil {
 		return err
 	}
 
 	if *dumpModel {
-		return suite.Model.Sys.WriteModel(os.Stdout)
+		return m.Sys.WriteModel(os.Stdout)
 	}
 
 	if *count {
@@ -195,31 +194,23 @@ func run(args []string) (err error) {
 		return nil
 	}
 
-	eng, err := core.ParseEngine(*engine)
+	eng, err := core.ParseEngine(job.Engine)
 	if err != nil {
 		return err
 	}
 
-	list, err := core.ParseLemmas(*lemmas)
+	list, err := core.ParseLemmas(job.Lemma)
 	if err != nil {
 		return err
 	}
 
-	return checkLemmas(list, eng, *timeout, *cex,
-		func(ctx context.Context, l core.Lemma) (*mc.Result, error) { return suite.CheckCtx(ctx, l, eng) },
-		func(t *mc.Trace) {
-			fmt.Println("counterexample timeline:")
-			fmt.Print(suite.Model.FormatTimeline(t))
-			fmt.Println("\nvariable-level trace:")
-			fmt.Println(t.Format(suite.Model.Sys))
-		})
+	return checkLemmas(m, list, eng, *timeout, *cex)
 }
 
-// checkLemmas checks each lemma under the per-lemma budget, printing its
-// verdict and, with cex, its counterexample through printCex. It fails
-// when a lemma is violated or its budget runs out (no verdict either way).
-func checkLemmas(list []core.Lemma, eng core.Engine, timeout time.Duration, cex bool,
-	check func(context.Context, core.Lemma) (*mc.Result, error), printCex func(*mc.Trace)) error {
+// checkLemmas checks each lemma of m under the per-lemma budget, printing
+// its verdict and, with cex, its counterexample. It fails when a lemma is
+// violated or its budget runs out (no verdict either way).
+func checkLemmas(m *campaign.Model, list []core.Lemma, eng core.Engine, timeout time.Duration, cex bool) error {
 	failed := 0
 	inconclusive := 0
 	for _, l := range list {
@@ -228,7 +219,7 @@ func checkLemmas(list []core.Lemma, eng core.Engine, timeout time.Duration, cex 
 		if timeout > 0 {
 			ctx, cancel = context.WithTimeout(ctx, timeout)
 		}
-		res, err := check(ctx, l)
+		res, err := m.Check(ctx, l, eng)
 		if cancel != nil {
 			cancel()
 		}
@@ -245,7 +236,7 @@ func checkLemmas(list []core.Lemma, eng core.Engine, timeout time.Duration, cex 
 		if !res.Holds() {
 			failed++
 			if cex && res.Trace != nil {
-				printCex(res.Trace)
+				printCex(m, res.Trace)
 			}
 		}
 	}
@@ -265,15 +256,29 @@ func checkLemmas(list []core.Lemma, eng core.Engine, timeout time.Duration, cex 
 	return nil
 }
 
+// printCex prints a counterexample: on the hub as a timeline followed by
+// the variable-level trace, on the bus as the trace alone.
+func printCex(m *campaign.Model, t *mc.Trace) {
+	if m.Suite == nil {
+		fmt.Println("counterexample trace:")
+		fmt.Println(t.Format(m.Sys))
+		return
+	}
+	fmt.Println("counterexample timeline:")
+	fmt.Print(m.Suite.Model.FormatTimeline(t))
+	fmt.Println("\nvariable-level trace:")
+	fmt.Println(t.Format(m.Sys))
+}
+
 // lintGate refuses to model check a system that the static analyzer flags
 // with error-level diagnostics: verifying lemmas against a model with
 // unreachable commands or out-of-domain updates proves nothing about the
 // algorithm. The lemma predicates feed the cone-of-influence check
-// (GCL011). A non-nil comp is the caller's compilation of sys, shared so
-// the lint pass and the model-checking run lower the system to boolean
-// form once. -lint=warn additionally prints warning-level findings; -lint=off
-// bypasses the gate.
-func lintGate(sys *gcl.System, preds []gcl.Expr, comp *gcl.Compiled, mode string, nodeLimit int) error {
+// (GCL011), and the lint pass shares the model's compilation, so on the
+// hub the lint pass and the model-checking run lower the system to boolean
+// form once. -lint=warn additionally prints warning-level findings;
+// -lint=off bypasses the gate.
+func lintGate(m *campaign.Model, mode string, nodeLimit int) error {
 	switch mode {
 	case "off":
 		return nil
@@ -281,7 +286,7 @@ func lintGate(sys *gcl.System, preds []gcl.Expr, comp *gcl.Compiled, mode string
 	default:
 		return fmt.Errorf("unknown -lint mode %q (want on, warn, or off)", mode)
 	}
-	rep, err := lint.Run(sys, lint.Options{BDD: bdd.Config{NodeLimit: nodeLimit}, Preds: preds, Compiled: comp})
+	rep, err := lint.Run(m.Sys, lint.Options{BDD: bdd.Config{NodeLimit: nodeLimit}, Preds: m.Preds(), Compiled: m.Compiled()})
 	if err != nil {
 		return err
 	}
@@ -328,64 +333,4 @@ func printResult(res *mc.Result) {
 	}
 	fmt.Printf("%-14s [%s] %-18s cpu=%v%s\n",
 		res.Property.Name, stats.Engine, res.Verdict, stats.Duration.Round(1000000), extra)
-}
-
-// runBus checks the paper's original bus topology (internal/tta/original):
-// no guardians, so only the safety and liveness lemmas exist.
-func runBus(scope obs.Scope, n, faultyNode, degree, deltaInit int, lemmas, engine string,
-	depth, nodeLimit int, reorder, optimize, cex, dumpModel bool, lintMode string, timeout time.Duration) error {
-	cfg := original.Config{
-		N:           n,
-		FaultyNode:  faultyNode,
-		FaultDegree: degree,
-		DeltaInit:   deltaInit,
-	}
-	if cfg.FaultyNode < 0 {
-		cfg.FaultDegree = 3 // degree is irrelevant but must validate
-	}
-	m, err := original.Build(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("model: %s  (faulty-node=%d degree=%d δ_init=%d)\n",
-		m.Sys.Name, cfg.FaultyNode, cfg.FaultDegree, cfg.DeltaInit)
-	if err := lintGate(m.Sys, []gcl.Expr{m.Safety().Pred, m.Liveness().Pred}, nil, lintMode, nodeLimit); err != nil {
-		return err
-	}
-	if dumpModel {
-		return m.Sys.WriteModel(os.Stdout)
-	}
-
-	list, err := core.ParseLemmas(lemmas)
-	if err != nil {
-		return err
-	}
-	eng, err := core.ParseEngine(engine)
-	if err != nil {
-		return err
-	}
-	opts := core.Options{
-		Symbolic: symbolic.Options{BDD: bdd.Config{NodeLimit: nodeLimit, AutoReorder: reorder}},
-		BMCDepth: depth,
-		Opt:      optimize,
-		Obs:      scope,
-	}
-	if opts.BMCDepth == 0 {
-		opts.BMCDepth = 2 * (tta.Params{N: n}).WorstCaseStartup()
-	}
-
-	return checkLemmas(list, eng, timeout, cex,
-		func(ctx context.Context, l core.Lemma) (*mc.Result, error) {
-			switch l {
-			case core.LemmaSafety:
-				return core.Check(ctx, m.Sys, m.Safety(), eng, opts)
-			case core.LemmaLiveness:
-				return core.Check(ctx, m.Sys, m.Liveness(), eng, opts)
-			}
-			return nil, fmt.Errorf("bus model has no lemma %v (want safety or liveness)", l)
-		},
-		func(t *mc.Trace) {
-			fmt.Println("counterexample trace:")
-			fmt.Println(t.Format(m.Sys))
-		})
 }

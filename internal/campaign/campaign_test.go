@@ -9,11 +9,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ttastartup/internal/core"
 )
 
 // testSpec is a small but representative sweep: both topologies, big-bang
@@ -770,6 +773,101 @@ func TestTransitionSkippedExecuted(t *testing.T) {
 		}
 		if !rec.Holds && rec.CexLen == 0 {
 			t.Errorf("job %s refuted liveness without a lasso", j.ID())
+		}
+	}
+}
+
+// TestJobsBuild: every job a Spec expands to, and every job shape the
+// store and the verdict cache already hold (the jobs of the identity
+// golden test in internal/exp, as their recorded JSON), maps onto a model
+// that defines the job's lemma. Jobs differing only in lemma and engine
+// share one model build.
+func TestJobsBuild(t *testing.T) {
+	jobs, err := Spec{
+		Ns: []int{3, 4}, Topologies: []string{TopologyHub, TopologyBus}, BigBang: []bool{true, false},
+		Lemmas: []string{"safety", "liveness", "timeliness", "safety_2",
+			"no-error", "locks-only-faulty", "hubs-agree", "node-hub-agree"},
+		Engines: []string{"symbolic", "explicit", "bmc", "induction", "ic3"},
+	}.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, js := range []string{
+		`{"topology":"hub","n":3,"big_bang":true,"faulty_node":1,"faulty_hub":-1,"degree":1,"delta_init":4,"lemma":"safety","engine":"symbolic"}`,
+		`{"topology":"bus","n":3,"big_bang":false,"faulty_node":1,"faulty_hub":-1,"degree":3,"delta_init":4,"lemma":"liveness","engine":"symbolic"}`,
+		`{"topology":"hub","n":3,"big_bang":true,"faulty_node":-1,"faulty_hub":0,"degree":0,"delta_init":4,"lemma":"safety_2","engine":"symbolic"}`,
+		`{"topology":"hub","n":3,"big_bang":true,"faulty_node":1,"faulty_hub":-1,"degree":1,"lemma":"safety","engine":"symbolic"}`,
+		`{"topology":"hub","n":3,"big_bang":true,"faulty_node":1,"faulty_hub":-1,"degree":5,"delta_init":4,"lemma":"timeliness","engine":"symbolic"}`,
+		`{"topology":"hub","n":3,"big_bang":true,"faulty_node":1,"faulty_hub":-1,"degree":6,"delta_init":4,"lemma":"timeliness","engine":"symbolic"}`,
+		`{"topology":"hub","n":4,"big_bang":true,"faulty_node":-1,"faulty_hub":0,"degree":0,"delta_init":5,"lemma":"safety_2","engine":"symbolic"}`,
+		`{"topology":"bus","n":3,"big_bang":false,"faulty_node":1,"faulty_hub":-1,"degree":1,"delta_init":4,"lemma":"safety","engine":"ic3"}`,
+		`{"topology":"hub","n":3,"big_bang":false,"faulty_node":-1,"faulty_hub":0,"degree":0,"delta_init":4,"lemma":"safety","engine":"ic3"}`,
+	} {
+		var j Job
+		if err := json.Unmarshal([]byte(js), &j); err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	models := map[string]*Model{}
+	for _, j := range jobs {
+		cfg := j
+		cfg.Lemma, cfg.Engine = "", ""
+		m, ok := models[cfg.ID()]
+		if !ok {
+			if m, err = BuildModel(j, core.Options{}); err != nil {
+				t.Fatalf("%s: %v", j.ID(), err)
+			}
+			models[cfg.ID()] = m
+		}
+		l, err := jobLemma(j)
+		if err != nil {
+			t.Fatalf("%s: %v", j.ID(), err)
+		}
+		if _, err := m.Property(l); err != nil {
+			t.Errorf("%s: %v", j.ID(), err)
+		}
+		if !slices.Contains(m.Lemmas(), l) {
+			t.Errorf("%s: lemma %v missing from the model's lemma list %v", j.ID(), l, m.Lemmas())
+		}
+	}
+}
+
+// TestContradictoryJobsRejected: the job mapping refuses a faulty node
+// next to a faulty hub, hub-only settings on the bus, and a lemma the bus
+// does not define, instead of silently dropping a field the job's ID
+// still names.
+func TestContradictoryJobsRejected(t *testing.T) {
+	hub := Job{Topology: TopologyHub, N: 3, BigBang: true, FaultyNode: 1, FaultyHub: -1, Degree: 6, Lemma: "safety", Engine: "symbolic"}
+	bus := Job{Topology: TopologyBus, N: 3, FaultyNode: 1, FaultyHub: -1, Degree: 3, Lemma: "safety", Engine: "symbolic"}
+	with := func(j Job, set func(*Job)) Job {
+		set(&j)
+		return j
+	}
+	for _, c := range []struct {
+		job  Job
+		want string
+	}{
+		{with(hub, func(j *Job) { j.FaultyHub = 0 }), "single-failure hypothesis"},
+		{with(bus, func(j *Job) { j.FaultyNode, j.FaultyHub = -1, 0 }), "bus job: faulty-hub"},
+		{with(bus, func(j *Job) { j.BigBang = true }), "bus job: big-bang"},
+		{with(bus, func(j *Job) { j.NoFeedback = true }), "bus job: no-feedback"},
+		{with(bus, func(j *Job) { j.NoCSPriority = true }), "bus job: no-cs-priority"},
+		{with(bus, func(j *Job) { j.NoCSWindow = true }), "bus job: no-cs-window"},
+		{with(bus, func(j *Job) { j.NoInterlinks = true }), "bus job: no-interlinks"},
+		{with(bus, func(j *Job) { j.NoWatchdog = true }), "bus job: no-watchdog"},
+		{with(bus, func(j *Job) { j.Restartable = true }), "bus job: restartable"},
+		{with(bus, func(j *Job) { j.Lemma = "timeliness" }), "no lemma timeliness"},
+		{with(hub, func(j *Job) { j.FaultyNode, j.Degree = -1, 9 }), "fault degree 9"},
+		{with(hub, func(j *Job) { j.Topology = "ring" }), `unknown topology "ring"`},
+	} {
+		_, err := JobModelDigest(c.job)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want %q", c.job.ID(), err, c.want)
+		}
+		rec, err := ExecuteJob(context.Background(), c.job, RunOptions{})
+		if err != nil || rec.Verdict != "error" || !strings.Contains(rec.Error, c.want) {
+			t.Errorf("%s: record %+v (err %v), want an error record with %q", c.job.ID(), rec, err, c.want)
 		}
 	}
 }

@@ -15,9 +15,6 @@ import (
 	"ttastartup/internal/gcl"
 	"ttastartup/internal/mc"
 	"ttastartup/internal/obs"
-	"ttastartup/internal/tta"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
 )
 
 // RunOptions tunes campaign execution.
@@ -314,109 +311,4 @@ func traceDigest(sys *gcl.System, t *mc.Trace) string {
 	}
 	fmt.Fprintf(h, "loop=%d", t.LoopsTo)
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// CheckJob checks one job on a private model, so concurrent jobs share
-// nothing: JobModel, then core.Check with opts (BMCDepth defaults to the
-// model's 2·w_sup). It returns the result and the checked source system.
-func CheckJob(ctx context.Context, job Job, opts core.Options) (*mc.Result, *gcl.System, error) {
-	eng, err := core.ParseEngine(job.Engine)
-	if err != nil {
-		return nil, nil, err
-	}
-	sys, prop, depth, err := JobModel(job, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.BMCDepth == 0 {
-		opts.BMCDepth = depth
-	}
-	// With -opt the trace (and its digest) come back inflated to full
-	// source-model states, so records stay comparable across opt settings.
-	res, err := core.Check(ctx, sys, prop, eng, opts)
-	return res, sys, err
-}
-
-// HubConfig maps a hub-topology job onto its model configuration.
-func HubConfig(job Job) startup.Config {
-	cfg := startup.DefaultConfig(job.N)
-	cfg.DeltaInit = job.DeltaInit
-	cfg.DisableBigBang = !job.BigBang
-	switch {
-	case job.FaultyNode >= 0:
-		cfg = cfg.WithFaultyNode(job.FaultyNode)
-		cfg.FaultDegree = job.Degree
-	case job.FaultyHub >= 0:
-		cfg = cfg.WithFaultyHub(job.FaultyHub)
-	}
-	cfg.Feedback = !job.NoFeedback
-	cfg.DisableCSPriority = job.NoCSPriority
-	cfg.DisableCSWindow = job.NoCSWindow
-	cfg.DisableInterlinks = job.NoInterlinks
-	cfg.DisableWatchdog = job.NoWatchdog
-	cfg.RestartableNodes = job.Restartable
-	return cfg
-}
-
-// BusConfig maps a bus-topology job onto its model configuration.
-func BusConfig(job Job) original.Config {
-	cfg := original.Config{
-		N:           job.N,
-		FaultyNode:  job.FaultyNode,
-		FaultDegree: job.Degree,
-		DeltaInit:   job.DeltaInit,
-	}
-	if cfg.FaultyNode < 0 {
-		cfg.FaultDegree = maxBusDegree // degree is irrelevant but must validate
-	}
-	return cfg
-}
-
-// JobModel builds a job's model without checking anything: the finalized
-// system, the lemma's property on it, and the SAT engines' default depth
-// 2·w_sup (what a Suite gives an unset Options.BMCDepth). Hub-topology
-// lemmas resolve through core.Suite.Property, so opts.TimelinessBound
-// applies to the timeliness lemmas; the bus topology defines safety and
-// liveness only.
-func JobModel(job Job, opts core.Options) (*gcl.System, mc.Property, int, error) {
-	depth := 2 * (tta.Params{N: job.N}).WorstCaseStartup()
-	switch job.Topology {
-	case TopologyHub:
-		lemmas, err := core.ParseLemmas(job.Lemma)
-		if err != nil || len(lemmas) != 1 {
-			return nil, mc.Property{}, 0, fmt.Errorf("campaign: bad lemma %q", job.Lemma)
-		}
-		suite, err := core.NewSuite(HubConfig(job), opts)
-		if err != nil {
-			return nil, mc.Property{}, 0, err
-		}
-		prop, err := suite.Property(lemmas[0])
-		return suite.Model.Sys, prop, depth, err
-	case TopologyBus:
-		m, err := original.Build(BusConfig(job))
-		if err != nil {
-			return nil, mc.Property{}, 0, err
-		}
-		switch job.Lemma {
-		case "safety":
-			return m.Sys, m.Safety(), depth, nil
-		case "liveness":
-			return m.Sys, m.Liveness(), depth, nil
-		}
-		return nil, mc.Property{}, 0, fmt.Errorf("campaign: bus topology has no lemma %q", job.Lemma)
-	default:
-		return nil, mc.Property{}, 0, fmt.Errorf("campaign: unknown topology %q", job.Topology)
-	}
-}
-
-// JobModelDigest returns the canonical content address of the job's
-// finalized system (gcl.System.Digest). The verification service computes
-// it at submission time to probe the verdict cache before scheduling a
-// single job.
-func JobModelDigest(job Job) (string, error) {
-	sys, _, _, err := JobModel(job, core.Options{})
-	if err != nil {
-		return "", err
-	}
-	return sys.Digest(), nil
 }

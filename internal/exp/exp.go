@@ -22,8 +22,6 @@ import (
 	"ttastartup/internal/mc/symbolic"
 	"ttastartup/internal/sim/mcfi"
 	"ttastartup/internal/tta"
-	"ttastartup/internal/tta/original"
-	"ttastartup/internal/tta/startup"
 )
 
 // Scale selects experiment sizing.
@@ -66,13 +64,6 @@ func (s Scale) options() core.Options {
 	return core.Options{
 		Symbolic: symbolic.Options{BDD: s.bddConfig(), NoTrace: true},
 	}
-}
-
-func (s Scale) suite(cfg startup.Config) (*core.Suite, error) {
-	if cfg.DeltaInit == 0 {
-		cfg.DeltaInit = s.deltaInit(cfg.N)
-	}
-	return core.NewSuite(cfg, s.options())
 }
 
 // campaignOpts configures the campaign runner for the job-list tables on
@@ -356,20 +347,20 @@ func Ablation(ctx context.Context, scale Scale, n, workers int) ([]Row, []campai
 // experiment): with one transient reset allowed per correct node, the
 // safety and liveness lemmas and the CTL recovery property AG(AF
 // all-active) (core.LemmaRecovery) must hold. The three checks share one
-// suite, so the symbolic engine builds the reachable set once; as three
+// model, so the symbolic engine builds the reachable set once; as three
 // campaign jobs each would rebuild it.
 func Restart(ctx context.Context, scale Scale, n int) ([]Row, string, error) {
 	job := campaign.Job{
 		Topology: campaign.TopologyHub, N: n, BigBang: true, FaultyNode: -1, FaultyHub: -1,
 		DeltaInit: scale.deltaInit(n), Engine: "symbolic", Restartable: true,
 	}
-	s, err := core.NewSuite(campaign.HubConfig(job), scale.options())
+	m, err := campaign.BuildModel(job, scale.options())
 	if err != nil {
 		return nil, "", err
 	}
 	var rows []Row
 	for _, l := range []core.Lemma{core.LemmaSafety, core.LemmaLiveness, core.LemmaRecovery} {
-		res, err := s.CheckCtx(ctx, l, core.EngineSymbolic)
+		res, err := m.Check(ctx, l, core.EngineSymbolic)
 		if err != nil {
 			return nil, "", fmt.Errorf("restart %v: %w", l, err)
 		}
@@ -476,16 +467,18 @@ func Baseline(ctx context.Context, ns []int, faulty bool) ([]BaselineRow, string
 	}
 	rows := make([]BaselineRow, 0, len(ns))
 	for _, n := range ns {
-		cfg := original.DefaultConfig(n)
+		job := campaign.Job{Topology: campaign.TopologyBus, N: n, FaultyNode: -1, FaultyHub: -1}
 		if faulty {
-			cfg.FaultyNode = 0
-			cfg.FaultDegree = 3
+			job.FaultyNode, job.Degree = 0, 3
 		}
-		model, err := original.Build(cfg)
+		m, err := campaign.BuildModel(job, core.Options{Symbolic: symbolic.Options{NoTrace: true}})
 		if err != nil {
 			return nil, "", err
 		}
-		prop := model.Safety()
+		prop, err := m.Property(core.LemmaSafety)
+		if err != nil {
+			return nil, "", err
+		}
 
 		// Full exploration on both engines, so the comparison is
 		// exhaustive-work vs exhaustive-work even when the property fails
@@ -495,7 +488,7 @@ func Baseline(ctx context.Context, ns []int, faulty bool) ([]BaselineRow, string
 		// engine's invariant check stops at the first violation, so its
 		// half explores the graph itself.
 		expBegin := time.Now()
-		g, err := explicit.ExploreCtx(ctx, model.Sys, explicit.Options{})
+		g, err := explicit.ExploreCtx(ctx, m.Sys, explicit.Options{})
 		if err != nil {
 			return nil, "", fmt.Errorf("baseline explicit n=%d: %w", n, err)
 		}
@@ -508,7 +501,7 @@ func Baseline(ctx context.Context, ns []int, faulty bool) ([]BaselineRow, string
 		}
 		expCPU := time.Since(expBegin)
 
-		symRes, err := core.Check(ctx, model.Sys, prop, core.EngineSymbolic, core.Options{Symbolic: symbolic.Options{NoTrace: true}})
+		symRes, err := m.Check(ctx, core.LemmaSafety, core.EngineSymbolic)
 		if err != nil {
 			return nil, "", fmt.Errorf("baseline symbolic n=%d: %w", n, err)
 		}
@@ -602,17 +595,22 @@ func WorstCase(ctx context.Context, scale Scale, ns []int) ([]WCSupRow, string, 
 		probes := 0
 		var cpu time.Duration
 		// The worst case ranges over the faulty component's identity.
-		cfgs := []startup.Config{startup.DefaultConfig(n).WithFaultyHub(0)}
-		for id := range n {
-			cfgs = append(cfgs, startup.DefaultConfig(n).WithFaultyNode(id))
+		job := campaign.Job{
+			Topology: campaign.TopologyHub, N: n, BigBang: true, FaultyNode: -1, FaultyHub: 0,
+			DeltaInit: scale.deltaInit(n),
 		}
-		for _, cfg := range cfgs {
-			s, err := scale.suite(cfg)
+		jobs := []campaign.Job{job}
+		for id := range n {
+			job.FaultyNode, job.FaultyHub, job.Degree = id, -1, 6
+			jobs = append(jobs, job)
+		}
+		for _, job := range jobs {
+			m, err := campaign.BuildModel(job, scale.options())
 			if err != nil {
 				return nil, "", err
 			}
 			begin := time.Now()
-			res, err := s.WorstCaseStartup(ctx, 0)
+			res, err := m.Suite.WorstCaseStartup(ctx, 0)
 			if err != nil {
 				return nil, "", fmt.Errorf("wcsup n=%d: %w", n, err)
 			}

@@ -3,10 +3,10 @@ package exp
 // Every table of the evaluation is a list of cells of the paper's grid —
 // configuration × lemma × engine — each named as a campaign.Job. The
 // matrix experiments (opt, order, l2s) vary the check options per cell and
-// run each through campaign.CheckJob (campaign.JobModel, then core.Check);
-// the single-check tables (Figs. 4–6, ablation, feedback, big-bang, ic3)
-// share one option set per table and run on the campaign pool (runTable),
-// and restart checks its three lemmas on one shared suite. Every
+// run each through campaign.CheckJob (campaign.BuildModel, then
+// Model.Check); the single-check tables (Figs. 4–6, ablation, feedback,
+// big-bang, ic3) share one option set per table and run on the campaign
+// pool (runTable), and restart checks its three lemmas on one built model. Every
 // experiment reports the same Row type through one table renderer and one
 // BENCH_<exp>.json writer.
 

@@ -1,9 +1,10 @@
 package gcl
 
 // This file is the read-only structural introspection surface consumed by
-// static analysis (package gcl/lint). It deliberately exposes no mutation:
-// analysis tools decompose expressions and commands without reaching into
-// the package's unexported representation.
+// static analysis (package gcl/lint) and the model transforms (gcl/opt,
+// gcl/l2s). It deliberately exposes no mutation: tools decompose
+// expressions and commands, and Rewrite builds new ones, without reaching
+// into the package's unexported representation.
 
 // ExprOp identifies the top-level operator of an expression.
 type ExprOp int
@@ -137,6 +138,64 @@ func AddOf(e Expr) (k int, modular bool, ok bool) {
 // reporting whether each read is primed.
 func VisitVars(e Expr, f func(v *Var, primed bool)) {
 	e.vars(f)
+}
+
+// Rewrite rebuilds e bottom-up through the public constructors, mapping
+// every variable read through varFn: varFn returns the replacement
+// expression for a read of v (primed or not), or nil to keep the read
+// unchanged. Constants are preserved verbatim, so their types — and with
+// them the saturation/wrap points of enclosing bounded arithmetic and the
+// bit widths of comparisons — survive the rewrite untouched. The
+// optimizer and the liveness-to-safety product transplant expressions
+// into their new systems with it.
+func Rewrite(e Expr, varFn func(v *Var, primed bool) Expr) Expr {
+	switch Op(e) {
+	case OpConst:
+		return e
+	case OpVar:
+		v, primed, _ := VarRef(e)
+		if r := varFn(v, primed); r != nil {
+			return r
+		}
+		return e
+	case OpCmp:
+		kind, _ := CmpOf(e)
+		ops := Operands(e)
+		a, b := Rewrite(ops[0], varFn), Rewrite(ops[1], varFn)
+		switch kind {
+		case CmpEq:
+			return Eq(a, b)
+		case CmpNe:
+			return Ne(a, b)
+		case CmpLt:
+			return Lt(a, b)
+		default:
+			return Le(a, b)
+		}
+	case OpNot:
+		return Not(Rewrite(Operands(e)[0], varFn))
+	case OpAnd, OpOr:
+		ops := Operands(e)
+		args := make([]Expr, len(ops))
+		for i, a := range ops {
+			args[i] = Rewrite(a, varFn)
+		}
+		if Op(e) == OpAnd {
+			return And(args...)
+		}
+		return Or(args...)
+	case OpIte:
+		ops := Operands(e)
+		return Ite(Rewrite(ops[0], varFn), Rewrite(ops[1], varFn), Rewrite(ops[2], varFn))
+	case OpAdd:
+		k, modular, _ := AddOf(e)
+		a := Rewrite(Operands(e)[0], varFn)
+		if modular {
+			return AddMod(a, k)
+		}
+		return AddSat(a, k)
+	}
+	panic("gcl: rewrite of unknown expression kind")
 }
 
 // Module returns the module that owns the command.

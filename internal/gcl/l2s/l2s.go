@@ -97,12 +97,12 @@ func Transform(src *gcl.System, pred gcl.Expr) (*Product, error) {
 			case gcl.KindChoice:
 				p.newOf[v] = nm.Choice(v.Name, v.Type)
 			case gcl.KindState:
-				p.newOf[v] = nm.Var(v.Name, v.Type, initOf(v))
+				p.newOf[v] = nm.Var(v.Name, v.Type, v.Init())
 			}
 		}
 	}
 	transplant := func(e gcl.Expr) gcl.Expr {
-		return rewrite(e, func(v *gcl.Var, primed bool) gcl.Expr {
+		return gcl.Rewrite(e, func(v *gcl.Var, primed bool) gcl.Expr {
 			nv := p.newOf[v]
 			if nv == nil {
 				panic(fmt.Sprintf("l2s: transplant reads unknown variable %s", v.Name))
@@ -238,12 +238,4 @@ func shadowName(v *gcl.Var) string {
 		return "shadow_" + v.Module.Name + "_" + v.Name
 	}
 	return "shadow_" + v.Name
-}
-
-func initOf(v *gcl.Var) gcl.Init {
-	vals := v.InitValues()
-	if vals == nil {
-		return gcl.InitAny()
-	}
-	return gcl.InitSet(vals...)
 }

@@ -78,7 +78,7 @@ func (w *work) substPinned(e gcl.Expr) gcl.Expr {
 	if len(w.pinned) == 0 {
 		return fold(e)
 	}
-	return fold(rewrite(e, func(v *gcl.Var, _ bool) gcl.Expr {
+	return fold(gcl.Rewrite(e, func(v *gcl.Var, _ bool) gcl.Expr {
 		if val, ok := w.pinned[v]; ok {
 			return gcl.C(v.Type, val)
 		}

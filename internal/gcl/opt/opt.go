@@ -202,14 +202,16 @@ func materialize(w *work, newCard map[*gcl.Var]int) (*Optimized, error) {
 				if c, ok := newCard[v]; ok {
 					t = narrowedType(t, c)
 				}
-				o.newOf[v] = nm.Var(v.Name, t, initOf(v))
+				// Narrowing keeps every init value (the interval fixpoint
+				// starts from the init hull), so they fit the narrowed type.
+				o.newOf[v] = nm.Var(v.Name, t, v.Init())
 				o.keptState = append(o.keptState, v)
 			}
 		}
 	}
 
 	transplant := func(e gcl.Expr) gcl.Expr {
-		return rewrite(e, func(v *gcl.Var, primed bool) gcl.Expr {
+		return gcl.Rewrite(e, func(v *gcl.Var, primed bool) gcl.Expr {
 			nv := o.newOf[v]
 			if nv == nil {
 				panic(fmt.Sprintf("opt: transplant reads dropped variable %s", v.Name))
@@ -245,17 +247,6 @@ func materialize(w *work, newCard map[*gcl.Var]int) (*Optimized, error) {
 		o.Preds[i] = transplant(p)
 	}
 	return o, nil
-}
-
-// initOf rebuilds a variable's init declaration. Narrowing keeps every
-// init value (the interval fixpoint starts from the init hull), so the
-// values always fit the narrowed type.
-func initOf(v *gcl.Var) gcl.Init {
-	vals := v.InitValues()
-	if vals == nil {
-		return gcl.InitAny()
-	}
-	return gcl.InitSet(vals...)
 }
 
 // narrowedType rebuilds a type at a smaller cardinality, preserving value

@@ -2,62 +2,6 @@ package opt
 
 import "ttastartup/internal/gcl"
 
-// rewrite rebuilds e bottom-up through the public gcl constructors, mapping
-// every variable read through varFn. varFn returns the replacement
-// expression for a read of v (primed or not), or nil to keep the read
-// unchanged. Constants are preserved verbatim, so their types — and with
-// them the saturation/wrap points of enclosing bounded arithmetic and the
-// bit widths of comparisons — survive the rewrite untouched.
-func rewrite(e gcl.Expr, varFn func(v *gcl.Var, primed bool) gcl.Expr) gcl.Expr {
-	switch gcl.Op(e) {
-	case gcl.OpConst:
-		return e
-	case gcl.OpVar:
-		v, primed, _ := gcl.VarRef(e)
-		if r := varFn(v, primed); r != nil {
-			return r
-		}
-		return e
-	case gcl.OpCmp:
-		kind, _ := gcl.CmpOf(e)
-		ops := gcl.Operands(e)
-		a, b := rewrite(ops[0], varFn), rewrite(ops[1], varFn)
-		switch kind {
-		case gcl.CmpEq:
-			return gcl.Eq(a, b)
-		case gcl.CmpNe:
-			return gcl.Ne(a, b)
-		case gcl.CmpLt:
-			return gcl.Lt(a, b)
-		default:
-			return gcl.Le(a, b)
-		}
-	case gcl.OpNot:
-		return gcl.Not(rewrite(gcl.Operands(e)[0], varFn))
-	case gcl.OpAnd, gcl.OpOr:
-		ops := gcl.Operands(e)
-		args := make([]gcl.Expr, len(ops))
-		for i, a := range ops {
-			args[i] = rewrite(a, varFn)
-		}
-		if gcl.Op(e) == gcl.OpAnd {
-			return gcl.And(args...)
-		}
-		return gcl.Or(args...)
-	case gcl.OpIte:
-		ops := gcl.Operands(e)
-		return gcl.Ite(rewrite(ops[0], varFn), rewrite(ops[1], varFn), rewrite(ops[2], varFn))
-	case gcl.OpAdd:
-		k, modular, _ := gcl.AddOf(e)
-		a := rewrite(gcl.Operands(e)[0], varFn)
-		if modular {
-			return gcl.AddMod(a, k)
-		}
-		return gcl.AddSat(a, k)
-	}
-	panic("opt: rewrite of unknown expression kind")
-}
-
 // constOf returns the value of a constant expression (boolean constants
 // included, as 0/1).
 func constOf(e gcl.Expr) (int, bool) { return gcl.ConstValue(e) }

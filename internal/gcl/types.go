@@ -108,6 +108,10 @@ func (v *Var) InitValues() []int {
 	return out
 }
 
+// Init returns the variable's initial-value constraint, for declaring a
+// copy of v in another system (the optimizer's and the l2s product's).
+func (v *Var) Init() Init { return Init{values: v.InitValues()} }
+
 func (v *Var) String() string {
 	if v.Module != nil {
 		return v.Module.Name + "." + v.Name
