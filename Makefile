@@ -5,7 +5,7 @@ GO ?= go
 # model configuration, the campaign, IC3, and observability smoke tests,
 # and a short run of both fuzz harnesses.
 .PHONY: check
-check: fmt vet build perfbench-build race lint-models campaign-smoke ic3-smoke obs-smoke fuzz-smoke sim-smoke served-smoke
+check: fmt vet build perfbench-build race lint-models help-check campaign-smoke ic3-smoke obs-smoke fuzz-smoke sim-smoke served-smoke
 
 .PHONY: fmt
 fmt:
@@ -55,6 +55,15 @@ race:
 .PHONY: lint-models
 lint-models:
 	$(GO) run ./cmd/ttalint -all -j 0
+
+# Help-text gate: the -h output of the front ends that share flag
+# bindings (ttacampaign, ttactl submit, ttamc, ttalint, ttasim,
+# ttasimfuzz, ttaserved) must match scripts/help.golden, so a change to
+# any flag's name, default or help line shows up as a diff to that file.
+# Regenerate it with `sh scripts/help_check.sh -update`.
+.PHONY: help-check
+help-check:
+	sh scripts/help_check.sh
 
 # Campaign smoke test: run a tiny n=3 sweep on two workers, cancel it
 # gracefully after three jobs (the -cancel-after testing hook), then resume

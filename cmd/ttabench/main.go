@@ -28,8 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 
 	"ttastartup/internal/campaign"
 	"ttastartup/internal/core"
@@ -78,15 +76,9 @@ func run() error {
 	if *full {
 		scale = exp.Full
 	}
-	var ns []int
-	if *nsFlag != "" {
-		for _, part := range strings.Split(*nsFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return fmt.Errorf("bad -n value: %w", err)
-			}
-			ns = append(ns, v)
-		}
+	ns, err := campaign.ParseInts(*nsFlag)
+	if err != nil {
+		return fmt.Errorf("-n: %w", err)
 	}
 
 	// size is the cluster size of the single-n experiments: ns[0] when

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,14 +45,10 @@ func main() {
 }
 
 func run() (int, error) {
+	specFlags := campaign.BindSpecFlags(flag.CommandLine)
+	var obsOpts obs.SetupOptions
+	obsOpts.BindFlags(flag.CommandLine)
 	var (
-		ns          = flag.String("n", "3", "comma-separated cluster sizes")
-		topologies  = flag.String("topologies", "hub", "comma-separated topologies: hub, bus")
-		bigbang     = flag.String("bigbang", "on", "hub big-bang variants: on, off, both")
-		degrees     = flag.String("degrees", "1,2,3,4,5,6", "comma-separated fault degrees")
-		lemmas      = flag.String("lemmas", "safety,liveness,timeliness,safety_2", "comma-separated lemmas")
-		engines     = flag.String("engines", "symbolic", "comma-separated engines: symbolic, explicit, bmc, induction, ic3")
-		deltaInit   = flag.Int("delta-init", 0, "power-on window in slots (0: each model's default)")
 		workers     = flag.Int("j", 0, "worker goroutines (0: GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 0, "per-job budget; exceeded jobs record 'inconclusive (deadline)' (0: none)")
 		fallbackBMC = flag.Bool("fallback-bmc", false, "retry deadline-exceeded jobs with the bounded engine")
@@ -70,20 +64,11 @@ func run() (int, error) {
 		reorder     = flag.Bool("reorder", false, "enable dynamic BDD variable reordering in symbolic jobs")
 		optimize    = flag.Bool("opt", true, "run the static model-optimization pipeline per job (COI slicing, constant propagation, range narrowing); counterexamples are inflated back to the full model")
 		bmcDepth    = flag.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
-		tracePath   = flag.String("trace", "", "write a Chrome trace_event JSON file here (one lane per worker)")
-		spanlog     = flag.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics     = flag.Bool("metrics", false, "dump the metrics registry after the campaign")
-		pprofAddr   = flag.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
 	)
 	flag.Parse()
 
-	scope, obsDone, err := obs.Setup(obs.SetupOptions{
-		TracePath: *tracePath,
-		SpanLog:   *spanlog,
-		Metrics:   *metrics,
-		PprofAddr: *pprofAddr,
-		MetricsW:  os.Stderr, // stdout may carry the JSON progress feed
-	})
+	obsOpts.MetricsW = os.Stderr // stdout may carry the JSON progress feed
+	scope, obsDone, err := obs.Setup(context.Background(), obsOpts)
 	if err != nil {
 		return 1, err
 	}
@@ -93,27 +78,10 @@ func run() (int, error) {
 		}
 	}()
 
-	spec := campaign.Spec{DeltaInit: *deltaInit}
-	if spec.Ns, err = parseInts(*ns); err != nil {
-		return 2, fmt.Errorf("-n: %w", err)
+	spec, err := specFlags.Spec()
+	if err != nil {
+		return 2, err
 	}
-	if spec.Degrees, err = parseInts(*degrees); err != nil {
-		return 2, fmt.Errorf("-degrees: %w", err)
-	}
-	spec.Topologies = splitList(*topologies)
-	spec.Lemmas = splitList(*lemmas)
-	spec.Engines = splitList(*engines)
-	switch *bigbang {
-	case "on":
-		spec.BigBang = []bool{true}
-	case "off":
-		spec.BigBang = []bool{false}
-	case "both":
-		spec.BigBang = []bool{true, false}
-	default:
-		return 2, fmt.Errorf("-bigbang: want on, off or both, got %q", *bigbang)
-	}
-
 	jobs, err := spec.Jobs()
 	if err != nil {
 		return 2, err
@@ -217,26 +185,4 @@ func progressOrNop(p campaign.Progress) campaign.Progress {
 		return campaign.NopProgress{}
 	}
 	return p
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

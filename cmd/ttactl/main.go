@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -126,19 +125,11 @@ func baseURL(addr, addrFile string) (string, error) {
 
 func cmdSubmit(base string, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
+	specFlags := campaign.BindSpecFlags(fs) // the verify spec axes
 	var (
 		specFile = fs.String("spec", "", "submit this SubmitRequest JSON file instead of building one from flags")
 		kind     = fs.String("kind", "verify", "job kind: verify, mcfi")
 		wait     = fs.Bool("wait", false, "block until the job reaches a terminal state")
-
-		// verify spec axes (mirroring ttacampaign)
-		ns         = fs.String("n", "3", "comma-separated cluster sizes")
-		topologies = fs.String("topologies", "hub", "comma-separated topologies: hub, bus")
-		bigbang    = fs.String("bigbang", "on", "hub big-bang variants: on, off, both")
-		degrees    = fs.String("degrees", "1,2,3,4,5,6", "comma-separated fault degrees")
-		lemmas     = fs.String("lemmas", "safety,liveness,timeliness,safety_2", "comma-separated lemmas")
-		engines    = fs.String("engines", "symbolic", "comma-separated engines")
-		deltaInit  = fs.Int("delta-init", 0, "power-on window in slots (0: model default)")
 
 		// run config (part of the verdict-cache key)
 		timeout     = fs.Duration("timeout", 0, "per-job engine budget (0: none)")
@@ -174,26 +165,9 @@ func cmdSubmit(base string, args []string) error {
 		}
 		switch *kind {
 		case serve.KindVerify:
-			spec := campaign.Spec{DeltaInit: *deltaInit}
-			var err error
-			if spec.Ns, err = parseInts(*ns); err != nil {
-				return fmt.Errorf("-n: %w", err)
-			}
-			if spec.Degrees, err = parseInts(*degrees); err != nil {
-				return fmt.Errorf("-degrees: %w", err)
-			}
-			spec.Topologies = splitList(*topologies)
-			spec.Lemmas = splitList(*lemmas)
-			spec.Engines = splitList(*engines)
-			switch *bigbang {
-			case "on":
-				spec.BigBang = []bool{true}
-			case "off":
-				spec.BigBang = []bool{false}
-			case "both":
-				spec.BigBang = []bool{true, false}
-			default:
-				return fmt.Errorf("-bigbang: want on, off or both, got %q", *bigbang)
+			spec, err := specFlags.Spec()
+			if err != nil {
+				return err
 			}
 			req.Kind = serve.KindVerify
 			req.Verify = &spec
@@ -505,26 +479,4 @@ func get(url string, w io.Writer) error {
 	}
 	_, err = w.Write(data)
 	return err
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }

@@ -2,12 +2,15 @@
 // startup models and reports diagnostics (stable GCLnnn codes with model
 // locations and, for the BDD-backed checks, concrete witnesses). Each
 // model is a campaign job's, built by campaign.BuildModel, and is linted
-// against the predicates of every lemma its topology defines.
+// against the predicates of every lemma its topology defines. The job
+// flags are ttamc's (campaign.BindJobFlags); the topology flag is
+// -topology.
 //
 // Examples:
 //
 //	ttalint -n 3 -faulty-node 1 -degree 6
 //	ttalint -topology bus -n 4 -faulty-node 0 -degree 3
+//	ttalint -n 3 -faulty-node 1 -no-watchdog   (an ablation-table model)
 //	ttalint -all            (sweep the 20 shipped configurations)
 //	ttalint -all -j 8       (the sweep on eight workers)
 //	ttalint -all -json      (machine-readable reports)
@@ -38,40 +41,21 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	jobFlags := campaign.BindJobFlags(fs)
 	var (
-		n          = fs.Int("n", 3, "cluster size (number of nodes)")
-		topology   = fs.String("topology", "hub", "model topology: hub (star, the paper's main model) or bus (Section 3 baseline)")
-		faultyNode = fs.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
-		faultyHub  = fs.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none, hub topology only)")
-		degree     = fs.Int("degree", 6, "fault degree (hub topology: 1..6, bus: 1..3)")
-		deltaInit  = fs.Int("delta-init", 0, "power-on window in slots (0: the paper's default)")
-		noFeedback = fs.Bool("no-feedback", false, "disable the feedback state-space reduction")
-		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism")
-		noILinks   = fs.Bool("no-interlinks", false, "sever the guardian interlinks")
-		restart    = fs.Bool("restartable", false, "allow one transient restart per correct node")
-		all        = fs.Bool("all", false, "lint every shipped configuration (both topologies, big-bang on/off, all fault degrees)")
-		jsonOut    = fs.Bool("json", false, "emit JSON reports")
-		nodeLimit  = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
-		workers    = fs.Int("j", 1, "with -all, lint this many models concurrently (0: GOMAXPROCS)")
+		topology  = fs.String("topology", "hub", "model topology: hub (star, the paper's main model) or bus (Section 3 baseline)")
+		all       = fs.Bool("all", false, "lint every shipped configuration (both topologies, big-bang on/off, all fault degrees)")
+		jsonOut   = fs.Bool("json", false, "emit JSON reports")
+		nodeLimit = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
+		workers   = fs.Int("j", 1, "with -all, lint this many models concurrently (0: GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	jobs := []campaign.Job{{
-		Topology:     *topology,
-		N:            *n,
-		BigBang:      *topology == campaign.TopologyHub && !*noBigBang,
-		FaultyNode:   *faultyNode,
-		FaultyHub:    *faultyHub,
-		Degree:       *degree,
-		DeltaInit:    *deltaInit,
-		NoFeedback:   *noFeedback,
-		NoInterlinks: *noILinks,
-		Restartable:  *restart,
-	}}
+	jobs := []campaign.Job{jobFlags.Job(*topology)}
 	if *all {
-		jobs = allJobs(*n)
+		jobs = allJobs(jobs[0].N)
 	}
 
 	// Build and lint on a bounded pool (each model gets its own analyzer

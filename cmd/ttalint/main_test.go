@@ -8,9 +8,9 @@ import (
 )
 
 // TestGoldenOutput: the text report of the -all sweep and of the bus
-// example in the command's doc comment match the committed golden files
-// byte for byte, with -j 2 for the sweep (reports keep their input order
-// whatever the pool size).
+// example in the command's doc comment, with and without its -degree,
+// match the committed golden files byte for byte, with -j 2 for the sweep
+// (reports keep their input order whatever the pool size).
 func TestGoldenOutput(t *testing.T) {
 	for _, c := range []struct {
 		args   []string
@@ -18,6 +18,8 @@ func TestGoldenOutput(t *testing.T) {
 	}{
 		{[]string{"-all", "-j", "2"}, "testdata/all.golden"},
 		{[]string{"-topology", "bus", "-n", "4", "-faulty-node", "0", "-degree", "3"}, "testdata/bus.golden"},
+		// An unset -degree is the topology's highest: 3 on the bus.
+		{[]string{"-topology", "bus", "-n", "4", "-faulty-node", "0"}, "testdata/bus.golden"},
 	} {
 		var out bytes.Buffer
 		if err := run(c.args, &out); err != nil {

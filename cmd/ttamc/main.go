@@ -1,7 +1,8 @@
 // Command ttamc model checks the TTA startup algorithm: its configuration
-// flags form one campaign job, whose model campaign.BuildModel builds (and
-// refuses when the settings contradict each other or the topology), and
-// it verifies the requested lemmas on that model with the chosen engine.
+// flags (campaign.BindJobFlags, shared with ttalint, plus -model) form one
+// campaign job, whose model campaign.BuildModel builds (and refuses when
+// the settings contradict each other or the topology), and it verifies
+// the requested lemmas on that model with the chosen engine.
 //
 // Examples:
 //
@@ -44,50 +45,32 @@ func main() {
 
 func run(args []string) (err error) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	jobFlags := campaign.BindJobFlags(fs)
+	var obsOpts obs.SetupOptions
+	obsOpts.BindFlags(fs)
 	var (
-		n          = fs.Int("n", 3, "cluster size (number of nodes)")
-		faultyNode = fs.Int("faulty-node", -1, "inject a faulty node with this id (-1: none)")
-		faultyHub  = fs.Int("faulty-hub", -1, "inject a faulty hub on this channel (-1: none)")
-		degree     = fs.Int("degree", 6, "fault degree δ_failure (1..6, Fig. 3)")
-		deltaInit  = fs.Int("delta-init", 0, "power-on window in slots (0: the paper's 8·round)")
-		noFeedback = fs.Bool("no-feedback", false, "disable the feedback state-space reduction")
-		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
-		noILinks   = fs.Bool("no-interlinks", false, "sever the guardian interlinks (the conclusion's future-work variant)")
-		noCSPrio   = fs.Bool("no-cs-priority", false, "ablation: drop valid-cs preference in guardian arbitration")
-		noCSWin    = fs.Bool("no-cs-window", false, "ablation: drop the nodes' cold-start acceptance window")
-		noWatchdog = fs.Bool("no-watchdog", false, "ablation: drop the guardians' ACTIVE silence watchdog")
-		dumpModel  = fs.Bool("dump-model", false, "print the model in guarded-command (SAL-like) form and exit")
-		lemmas     = fs.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity, recovery (CTL AG(AF all-active))")
-		engine     = fs.String("engine", "symbolic", "engine: symbolic, explicit, bmc, induction, ic3")
-		depth      = fs.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
-		bound      = fs.Int("bound", 0, "timeliness bound in slots (0: w_sup + round)")
-		cex        = fs.Bool("cex", false, "print counterexample traces")
-		wcsup      = fs.Bool("wcsup", false, "explore the worst-case startup time (Section 5.3)")
-		restart    = fs.Bool("restartable", false, "allow one transient restart per correct node (the Section 2.1 restart problem)")
-		count      = fs.Bool("count", false, "report the exact reachable-state count")
-		timeout    = fs.Duration("timeout", 0, "per-lemma budget; exceeding it reports INCONCLUSIVE (deadline) (0: none)")
-		nodeLimit  = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
-		reorder    = fs.Bool("reorder", false, "enable dynamic BDD variable reordering (pair-grouped sifting) in the symbolic engine")
-		optimize   = fs.Bool("opt", false, "run the static model-optimization pipeline (COI slicing, constant propagation, range narrowing) before checking; counterexamples are inflated back to the full model")
-		lintMode   = fs.String("lint", "on", "static analysis gate: on (refuse error-level diagnostics), warn (also print warnings), off")
-		model      = fs.String("model", "hub", "topology: hub (star, central guardians) or bus (the paper's original design)")
-		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON file here (view in chrome://tracing or Perfetto)")
-		spanlog    = fs.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics    = fs.Bool("metrics", false, "dump the metrics registry after the run")
-		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
-		heartbeat  = fs.Duration("heartbeat", 0, "print a one-line progress summary at this interval (0: off)")
+		dumpModel = fs.Bool("dump-model", false, "print the model in guarded-command (SAL-like) form and exit")
+		lemmas    = fs.String("lemma", "safety,liveness,timeliness", "comma-separated lemmas: safety, liveness, timeliness, safety_2, sanity, recovery (CTL AG(AF all-active))")
+		engine    = fs.String("engine", "symbolic", "engine: symbolic, explicit, bmc, induction, ic3")
+		depth     = fs.Int("depth", 0, "bmc unrolling depth (0: 2·w_sup)")
+		bound     = fs.Int("bound", 0, "timeliness bound in slots (0: w_sup + round)")
+		cex       = fs.Bool("cex", false, "print counterexample traces")
+		wcsup     = fs.Bool("wcsup", false, "explore the worst-case startup time (Section 5.3)")
+		count     = fs.Bool("count", false, "report the exact reachable-state count")
+		timeout   = fs.Duration("timeout", 0, "per-lemma budget; exceeding it reports INCONCLUSIVE (deadline) (0: none)")
+		nodeLimit = fs.Int("bdd-nodes", 0, "BDD node limit (0: default)")
+		reorder   = fs.Bool("reorder", false, "enable dynamic BDD variable reordering (pair-grouped sifting) in the symbolic engine")
+		optimize  = fs.Bool("opt", false, "run the static model-optimization pipeline (COI slicing, constant propagation, range narrowing) before checking; counterexamples are inflated back to the full model")
+		lintMode  = fs.String("lint", "on", "static analysis gate: on (refuse error-level diagnostics), warn (also print warnings), off")
+		model     = fs.String("model", "hub", "topology: hub (star, central guardians) or bus (the paper's original design)")
+		heartbeat = fs.Duration("heartbeat", 0, "print a one-line progress summary at this interval (0: off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	scope, obsDone, err := obs.Setup(obs.SetupOptions{
-		TracePath: *tracePath,
-		SpanLog:   *spanlog,
-		Metrics:   *metrics,
-		PprofAddr: *pprofAddr,
-		Heartbeat: *heartbeat,
-	})
+	obsOpts.Heartbeat = *heartbeat
+	scope, obsDone, err := obs.Setup(context.Background(), obsOpts)
 	if err != nil {
 		return err
 	}
@@ -100,41 +83,16 @@ func run(args []string) (err error) {
 	if *model != campaign.TopologyHub && *model != campaign.TopologyBus {
 		return fmt.Errorf("unknown -model %q (want hub or bus)", *model)
 	}
+	job := jobFlags.Job(*model)
+	job.Lemma, job.Engine = *lemmas, *engine
 	if *model == campaign.TopologyBus {
-		// The bus model has exactly the paper's two properties and fault
-		// degrees 1..3; keep the hub defaults only when set explicitly.
-		lemmaSet, degSet := false, false
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "lemma":
-				lemmaSet = true
-			case "degree":
-				degSet = true
-			}
-		})
+		// The bus model has exactly the paper's two properties; keep the
+		// hub's default lemma list only when set explicitly.
+		lemmaSet := false
+		fs.Visit(func(f *flag.Flag) { lemmaSet = lemmaSet || f.Name == "lemma" })
 		if !lemmaSet {
-			*lemmas = "safety,liveness"
+			job.Lemma = "safety,liveness"
 		}
-		if !degSet {
-			*degree = 3
-		}
-	}
-	job := campaign.Job{
-		Topology:     *model,
-		N:            *n,
-		BigBang:      *model == campaign.TopologyHub && !*noBigBang,
-		FaultyNode:   *faultyNode,
-		FaultyHub:    *faultyHub,
-		Degree:       *degree,
-		DeltaInit:    *deltaInit,
-		Lemma:        *lemmas,
-		Engine:       *engine,
-		NoFeedback:   *noFeedback,
-		NoCSPriority: *noCSPrio,
-		NoCSWindow:   *noCSWin,
-		NoInterlinks: *noILinks,
-		NoWatchdog:   *noWatchdog,
-		Restartable:  *restart,
 	}
 	opts := core.Options{
 		Symbolic:        symbolic.Options{BDD: bdd.Config{NodeLimit: *nodeLimit, AutoReorder: *reorder}},

@@ -46,12 +46,10 @@ func run() error {
 		data      = flag.String("data", ".ttaserved", "data directory (jobs, journals, verdict cache)")
 		workers   = flag.Int("j", 2, "worker processes")
 		inproc    = flag.Bool("inproc", false, "run units in the daemon process instead of worker processes")
-		tracePath = flag.String("trace", "", "write a Chrome trace_event JSON file here at shutdown")
-		spanlog   = flag.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics   = flag.Bool("metrics", false, "dump the metrics registry at shutdown")
-		pprofAddr = flag.String("pprof", "", "serve /debug/pprof and /metricsz on this extra address")
 		heartbeat = flag.Duration("heartbeat", 0, "interval between progress heartbeats on stderr (0: off)")
 	)
+	var obsOpts obs.SetupOptions
+	obsOpts.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *worker {
@@ -63,16 +61,10 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SetupCtx ties the obs sinks to the daemon's lifetime: on SIGTERM the
+	// Setup ties the obs sinks to the daemon's lifetime: on SIGTERM the
 	// heartbeat goroutine and the extra debug listener stop with the rest.
-	scope, obsDone, err := obs.SetupCtx(ctx, obs.SetupOptions{
-		TracePath: *tracePath,
-		SpanLog:   *spanlog,
-		Metrics:   *metrics,
-		PprofAddr: *pprofAddr,
-		Heartbeat: *heartbeat,
-		MetricsW:  os.Stderr,
-	})
+	obsOpts.Heartbeat, obsOpts.MetricsW = *heartbeat, os.Stderr
+	scope, obsDone, err := obs.Setup(ctx, obsOpts)
 	if err != nil {
 		return err
 	}

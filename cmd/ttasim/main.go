@@ -3,10 +3,11 @@
 // same spec flags.
 //
 // The scenario flags (-n -seed -delta-init -max-slots -degree -mix
-// -no-big-bang) are ttasimfuzz's, with the same defaults, and the scenario
-// expands through the same mcfi.Spec.Scenario. `ttasim -seed 7 -index K`
-// therefore reproduces, with a full trace, corpus entry K of
-// `ttasimfuzz -seed 7`; ttasimfuzz is the campaign CLI.
+// -no-big-bang) are ttasimfuzz's: both commands declare them through
+// mcfi.BindScenarioFlags, and the scenario expands through the same
+// mcfi.Spec.Scenario. `ttasim -seed 7 -index K` therefore reproduces,
+// with a full trace, corpus entry K of `ttasimfuzz -seed 7`; ttasimfuzz
+// is the campaign CLI.
 //
 // Examples:
 //
@@ -34,28 +35,16 @@ func main() {
 }
 
 func run() error {
+	scenario := mcfi.BindScenarioFlags(flag.CommandLine)
 	var (
-		n         = flag.Int("n", 4, "cluster size")
-		seed      = flag.Int64("seed", 1, "campaign seed; scenario k uses DeriveSeed(seed, k)")
-		index     = flag.Uint64("index", 0, "which campaign scenario to run")
-		deltaInit = flag.Int("delta-init", 0, "power-on window (0: 8·round)")
-		maxSlots  = flag.Int("max-slots", 0, "slot budget per run (0: 20·round)")
-		degree    = flag.Int("degree", 0, "pin every faulty node's fault degree (0: uniform 1..6 per node)")
-		mix       = flag.String("mix", "", "scenario mix as kind:weight,... (empty: the default mix)")
-		noBigBang = flag.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
-		jsonOut   = flag.Bool("json", false, "emit the result as JSON on stdout instead of the trace")
+		index   = flag.Uint64("index", 0, "which campaign scenario to run")
+		jsonOut = flag.Bool("json", false, "emit the result as JSON on stdout instead of the trace")
 	)
 	flag.Parse()
 
-	sp := mcfi.Spec{
-		N: *n, Seed: *seed, DeltaInit: *deltaInit, MaxSlots: *maxSlots,
-		Degree: *degree, DisableBigBang: *noBigBang,
-	}
-	if *mix != "" {
-		var err error
-		if sp.Mix, err = mcfi.ParseMix(*mix); err != nil {
-			return fmt.Errorf("-mix: %w", err)
-		}
+	sp, err := scenario.Spec()
+	if err != nil {
+		return err
 	}
 	sp = sp.Normalize()
 	s, err := sp.Scenario(*index)

@@ -45,18 +45,14 @@ func main() {
 
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	scenario := mcfi.BindScenarioFlags(fs)
+	var obsOpts obs.SetupOptions
+	obsOpts.BindFlags(fs)
 	var (
-		n          = fs.Int("n", 4, "cluster size")
 		samples    = fs.Int("samples", 100000, "number of scenarios")
-		seed       = fs.Int64("seed", 1, "campaign seed (scenario k uses DeriveSeed(seed, k))")
 		batch      = fs.Int("batch", 0, "scenarios per checkpointed batch (0: 1000)")
-		deltaInit  = fs.Int("delta-init", 0, "power-on window (0: 8·round)")
-		maxSlots   = fs.Int("max-slots", 0, "slot budget per run (0: 20·round)")
-		degree     = fs.Int("degree", 0, "pin every faulty node's fault degree (0: uniform 1..6 per node)")
 		near       = fs.Int("near", 0, "near-violation margin under w_sup (0: 2)")
 		corpusCap  = fs.Int("corpus-cap", 0, "corpus entries per (kind, reason) bucket (0: 32)")
-		mix        = fs.String("mix", "", "scenario mix as kind:weight,... (empty: the default mix)")
-		noBigBang  = fs.Bool("no-big-bang", false, "disable the big-bang mechanism (Section 5.2 variant)")
 		specPath   = fs.String("spec", "", "read the campaign spec from this JSON file instead of the flags above")
 		out        = fs.String("out", "", "JSONL checkpoint path (empty: in-memory only)")
 		resume     = fs.Bool("resume", false, "resume from the intact prefix of -out")
@@ -68,22 +64,13 @@ func run(args []string) (int, error) {
 		replay     = fs.Bool("replay", true, "differentially replay violating/near-violating corpus entries through the gcl model")
 		replayAll  = fs.Bool("replay-all", false, "replay the entire corpus, not just violating/near entries")
 		corpusOut  = fs.String("corpus", "", "write the corpus as JSONL to this path")
-		tracePath  = fs.String("trace", "", "write a Chrome trace_event JSON file here")
-		spanlog    = fs.String("spanlog", "", "append one JSON line per finished span to this file")
-		metrics    = fs.Bool("metrics", false, "dump the metrics registry at exit")
-		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
 	}
 
-	scope, obsDone, err := obs.Setup(obs.SetupOptions{
-		TracePath: *tracePath,
-		SpanLog:   *spanlog,
-		Metrics:   *metrics,
-		PprofAddr: *pprofAddr,
-		MetricsW:  os.Stderr,
-	})
+	obsOpts.MetricsW = os.Stderr
+	scope, obsDone, err := obs.Setup(context.Background(), obsOpts)
 	if err != nil {
 		return 1, err
 	}
@@ -103,16 +90,11 @@ func run(args []string) (int, error) {
 			return 2, fmt.Errorf("-spec %s: %w", *specPath, err)
 		}
 	} else {
-		sp = mcfi.Spec{
-			N: *n, Samples: *samples, Seed: *seed, Batch: *batch,
-			DeltaInit: *deltaInit, MaxSlots: *maxSlots, Degree: *degree,
-			NearMargin: *near, CorpusPerBucket: *corpusCap, DisableBigBang: *noBigBang,
+		if sp, err = scenario.Spec(); err != nil {
+			return 2, err
 		}
-		if *mix != "" {
-			if sp.Mix, err = mcfi.ParseMix(*mix); err != nil {
-				return 2, fmt.Errorf("-mix: %w", err)
-			}
-		}
+		sp.Samples, sp.Batch = *samples, *batch
+		sp.NearMargin, sp.CorpusPerBucket = *near, *corpusCap
 	}
 	sp = sp.Normalize()
 	if err := sp.Validate(); err != nil {
@@ -142,7 +124,7 @@ func run(args []string) (int, error) {
 
 	fmt.Print(rep.String())
 	if !rep.Completed {
-		fmt.Printf("campaign paused at %d/%d batches; continue with -resume\n", rep.Batches, mustBatches(sp))
+		fmt.Printf("campaign paused at %d/%d batches; continue with -resume\n", rep.Batches, sp.Batches())
 	}
 	if *reportPath != "" {
 		if err := writeReport(rep, *reportPath); err != nil {
@@ -172,8 +154,6 @@ func run(args []string) (int, error) {
 	}
 	return 0, nil
 }
-
-func mustBatches(sp mcfi.Spec) int { return sp.Batches() }
 
 func writeReport(rep *mcfi.Report, path string) error {
 	f, err := os.Create(path)

@@ -161,8 +161,11 @@ func Transitioned(j Job) bool {
 	return (j.Engine == "induction" || j.Engine == "ic3") && eventuality(j.Lemma)
 }
 
-// maxBusDegree is the bus topology's fault-model ceiling.
-const maxBusDegree = 3
+// maxHubDegree and maxBusDegree are the topologies' fault-model ceilings.
+const (
+	maxHubDegree = 6
+	maxBusDegree = 3
+)
 
 func (s Spec) ns() []int {
 	if len(s.Ns) == 0 {
@@ -281,8 +284,8 @@ func (s Spec) validate() error {
 		}
 	}
 	for _, d := range s.degrees() {
-		if d < 1 || d > 6 {
-			return fmt.Errorf("campaign: fault degree %d out of range 1..6", d)
+		if d < 1 || d > maxHubDegree {
+			return fmt.Errorf("campaign: fault degree %d out of range 1..%d", d, maxHubDegree)
 		}
 	}
 	known := map[string]bool{

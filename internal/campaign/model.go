@@ -29,7 +29,8 @@ type Model struct {
 	// Bus is the bus topology's model (nil on the hub).
 	Bus *original.Model
 
-	opts core.Options // the bus checks' options, BMCDepth defaulted
+	src  *core.Source // Sys's check handle, the suite's on the hub
+	opts core.Options // BMCDepth defaulted
 }
 
 // BuildModel maps a job's configuration fields onto its topology's model;
@@ -40,22 +41,22 @@ func BuildModel(job Job, opts core.Options) (*Model, error) {
 	if err := job.validate(); err != nil {
 		return nil, err
 	}
+	if opts.BMCDepth == 0 {
+		opts.BMCDepth = 2 * (tta.Params{N: job.N}).WorstCaseStartup()
+	}
 	switch job.Topology {
 	case TopologyHub:
 		s, err := core.NewSuite(HubConfig(job), opts)
 		if err != nil {
 			return nil, err
 		}
-		return &Model{Sys: s.Model.Sys, Suite: s}, nil
+		return &Model{Sys: s.Model.Sys, Suite: s, src: s.Source(), opts: opts}, nil
 	case TopologyBus:
 		m, err := original.Build(BusConfig(job))
 		if err != nil {
 			return nil, err
 		}
-		if opts.BMCDepth == 0 {
-			opts.BMCDepth = 2 * (tta.Params{N: job.N}).WorstCaseStartup()
-		}
-		return &Model{Sys: m.Sys, Bus: m, opts: opts}, nil
+		return &Model{Sys: m.Sys, Bus: m, src: core.NewSource(m.Sys), opts: opts}, nil
 	default:
 		return nil, fmt.Errorf("campaign: unknown topology %q (want %s or %s)", job.Topology, TopologyHub, TopologyBus)
 	}
@@ -163,26 +164,20 @@ func (m *Model) Property(l core.Lemma) (mc.Property, error) {
 }
 
 // Check verifies one lemma with one engine through core.Check's pipeline.
-// On the hub every check runs on the suite's source model, so lemmas
-// share its compiled form and symbolic reachable set.
+// Every check runs on the model's one core.Source, so lemmas share its
+// compiled form and symbolic reachable set.
 func (m *Model) Check(ctx context.Context, l core.Lemma, e core.Engine) (*mc.Result, error) {
-	if m.Suite != nil {
-		return m.Suite.CheckCtx(ctx, l, e)
-	}
 	prop, err := m.Property(l)
 	if err != nil {
 		return nil, err
 	}
-	return core.Check(ctx, m.Sys, prop, e, m.opts)
+	return m.src.Check(ctx, prop, e, m.opts)
 }
 
-// Compiled returns the boolean compilation of Sys: on the hub the suite's,
-// built once and reused by its symbolic checks; on the bus a fresh one.
+// Compiled returns the boolean compilation of Sys, built once and reused
+// by the model's symbolic checks.
 func (m *Model) Compiled() *gcl.Compiled {
-	if m.Suite != nil {
-		return m.Suite.Compiled()
-	}
-	return m.Sys.Compile()
+	return m.src.Compiled()
 }
 
 // jobLemma resolves the job's lemma name, which must name exactly one

@@ -92,17 +92,38 @@ func (t *target) optimize(prop mc.Property) (*target, error) {
 // The BMC and k-induction engines reject a zero Options.BMCDepth; a Suite
 // fills it in with 2·w_sup.
 func Check(ctx context.Context, sys *gcl.System, prop mc.Property, e Engine, opts Options) (*mc.Result, error) {
-	opts.normalize()
-	return check(ctx, &target{sys: sys}, prop, e, opts)
+	return NewSource(sys).Check(ctx, prop, e, opts)
 }
 
-// check runs Check's pipeline from the source target src, whose compiled
-// form, symbolic engine and optimized targets it reuses.
-func check(ctx context.Context, src *target, prop mc.Property, e Engine, opts Options) (*mc.Result, error) {
-	t := src
+// Source is a source system held for repeated checks: its boolean
+// compilation, symbolic engine (and so its reachable set) and per-property
+// optimized systems are built on first use and shared by every Check on
+// it. A Suite checks its lemmas on one Source. A Source is not safe for
+// concurrent use.
+type Source struct {
+	t target
+}
+
+// NewSource wraps sys; nothing is compiled until a check needs it.
+func NewSource(sys *gcl.System) *Source {
+	return &Source{t: target{sys: sys}}
+}
+
+// Compiled returns the boolean compilation of the source system, building
+// it on first use.
+func (s *Source) Compiled() *gcl.Compiled {
+	return s.t.compiled()
+}
+
+// Check runs Check's pipeline on the source system, reusing what earlier
+// checks on s built. The symbolic engine keeps the options of the first
+// check that built it.
+func (s *Source) Check(ctx context.Context, prop mc.Property, e Engine, opts Options) (*mc.Result, error) {
+	opts.normalize()
+	t := &s.t
 	if opts.Opt {
 		var err error
-		if t, err = src.optimize(prop); err != nil {
+		if t, err = s.t.optimize(prop); err != nil {
 			return nil, err
 		}
 		prop = t.prop
@@ -145,9 +166,9 @@ func check(ctx context.Context, src *target, prop mc.Property, e Engine, opts Op
 }
 
 // engine is the one engine switch. An eventuality reaches it only on the
-// symbolic, explicit and BMC engines; check has already reduced it to an
-// invariant for the other two. A CTL formula runs only on the symbolic and
-// explicit engines, the two with CTL evaluators.
+// symbolic, explicit and BMC engines; Source.Check has already reduced it
+// to an invariant for the other two. A CTL formula runs only on the
+// symbolic and explicit engines, the two with CTL evaluators.
 func (t *target) engine(ctx context.Context, prop mc.Property, e Engine, opts Options, simplePath bool) (*mc.Result, error) {
 	if prop.Kind == mc.CTL && e != EngineSymbolic && e != EngineExplicit {
 		return nil, fmt.Errorf("core: engine %v has no CTL evaluator", e)

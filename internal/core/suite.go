@@ -237,7 +237,7 @@ type Suite struct {
 	Model *startup.Model
 	opts  Options
 
-	src *target // the source model and its per-lemma optimized targets
+	src *Source // the source model and its per-lemma optimized targets
 }
 
 // NewSuite builds the model for cfg and prepares a verification suite.
@@ -250,16 +250,13 @@ func NewSuite(cfg startup.Config, opts Options) (*Suite, error) {
 	return &Suite{Cfg: cfg, Model: model, opts: opts}, nil
 }
 
-func (s *Suite) source() *target {
+// Source returns the source model's check handle, which every check of
+// the suite runs on.
+func (s *Suite) Source() *Source {
 	if s.src == nil {
-		s.src = &target{sys: s.Model.Sys}
+		s.src = NewSource(s.Model.Sys)
 	}
 	return s.src
-}
-
-// Compiled returns the boolean compilation, building it on first use.
-func (s *Suite) Compiled() *gcl.Compiled {
-	return s.source().compiled()
 }
 
 // TimelinessBound returns the bound used for the timeliness lemmas: the
@@ -312,7 +309,7 @@ func (s *Suite) CheckCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, er
 	if opts.BMCDepth == 0 {
 		opts.BMCDepth = 2 * s.Model.P.WorstCaseStartup()
 	}
-	return check(ctx, s.source(), prop, e, opts)
+	return s.Source().Check(ctx, prop, e, opts)
 }
 
 // checkSource checks prop on the symbolic engine of the source model,
@@ -322,7 +319,7 @@ func (s *Suite) CheckCtx(ctx context.Context, l Lemma, e Engine) (*mc.Result, er
 func (s *Suite) checkSource(ctx context.Context, prop mc.Property) (*mc.Result, error) {
 	opts := s.opts
 	opts.Opt = false
-	return check(ctx, s.source(), prop, EngineSymbolic, opts)
+	return s.Source().Check(ctx, prop, EngineSymbolic, opts)
 }
 
 // CountStates returns the exact reachable-state count of the source

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -28,6 +29,16 @@ type SetupOptions struct {
 	MetricsW io.Writer
 }
 
+// BindFlags declares the sink flags -trace, -spanlog, -metrics and -pprof
+// on fs; parsing fs fills the matching fields of o. The front end sets
+// Heartbeat, LogW and MetricsW itself.
+func (o *SetupOptions) BindFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.TracePath, "trace", "", "write a Chrome trace_event JSON file here at exit (view in chrome://tracing or Perfetto)")
+	fs.StringVar(&o.SpanLog, "spanlog", "", "append one JSON line per finished span to this file")
+	fs.BoolVar(&o.Metrics, "metrics", false, "dump the metrics registry at exit")
+	fs.StringVar(&o.PprofAddr, "pprof", "", "serve /debug/pprof and /metricsz on this address (e.g. :6060)")
+}
+
 func (o SetupOptions) enabled() bool {
 	return o.TracePath != "" || o.SpanLog != "" || o.Metrics || o.PprofAddr != "" || o.Heartbeat > 0
 }
@@ -38,15 +49,46 @@ func (o SetupOptions) enabled() bool {
 // is enabled the returned scope is the zero (disabled) value and teardown
 // is a no-op.
 //
+// When ctx can be cancelled (a daemon's lifetime), cancelling it tears the
+// sinks down exactly as if the returned done function had been called —
+// the heartbeat goroutine stops and the debug HTTP listener closes, so a
+// cancelled daemon leaks neither. Calling done (always safe, and still
+// required to observe the teardown error) stops that watcher goroutine.
+//
 // The teardown is idempotent: the first call does the work and every
 // later call returns the first call's error without re-flushing files or
-// double-closing sinks, so long-running daemons can wire it both to a
-// context watcher and to their own shutdown path (see SetupCtx).
-func Setup(o SetupOptions) (Scope, func() error, error) {
-	var scope Scope
+// double-closing sinks, however many paths race into it.
+func Setup(ctx context.Context, o SetupOptions) (Scope, func() error, error) {
 	if !o.enabled() {
-		return scope, func() error { return nil }, nil
+		return Scope{}, func() error { return nil }, nil
 	}
+	scope, done, err := setup(o)
+	if err != nil || ctx.Done() == nil {
+		return scope, done, err
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		select {
+		case <-ctx.Done():
+			done()
+		case <-stop:
+		}
+	}()
+	var once sync.Once
+	wrapped := func() error {
+		once.Do(func() { close(stop) })
+		wg.Wait()
+		return done()
+	}
+	return scope, wrapped, nil
+}
+
+// setup wires the enabled sinks of o (Setup without the context watcher).
+func setup(o SetupOptions) (Scope, func() error, error) {
+	var scope Scope
 	if o.LogW == nil {
 		o.LogW = os.Stderr
 	}
@@ -107,36 +149,4 @@ func Setup(o SetupOptions) (Scope, func() error, error) {
 		return first
 	}
 	return scope, done, nil
-}
-
-// SetupCtx is Setup bound to a context's lifetime, for daemon use: when
-// ctx is cancelled the sinks tear down exactly as if the returned done
-// function had been called — the heartbeat goroutine stops and the debug
-// HTTP listener closes, so a cancelled daemon leaks neither. Calling done
-// (always safe, and still required to observe the teardown error) stops
-// the watcher goroutine; teardown runs once no matter how many paths race
-// into it.
-func SetupCtx(ctx context.Context, o SetupOptions) (Scope, func() error, error) {
-	scope, done, err := Setup(o)
-	if err != nil || ctx == nil || ctx.Done() == nil {
-		return scope, done, err
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		select {
-		case <-ctx.Done():
-			done()
-		case <-stop:
-		}
-	}()
-	var once sync.Once
-	wrapped := func() error {
-		once.Do(func() { close(stop) })
-		wg.Wait()
-		return done()
-	}
-	return scope, wrapped, nil
 }

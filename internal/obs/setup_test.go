@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"flag"
 	"io"
 	"net/http"
 	"os"
@@ -38,7 +39,7 @@ func TestSetupCtxCancelStopsSinks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	// The heartbeat goroutine writes the log while this test reads it.
 	var log syncBuffer
-	scope, done, err := SetupCtx(ctx, SetupOptions{
+	scope, done, err := Setup(ctx, SetupOptions{
 		Heartbeat: time.Millisecond,
 		PprofAddr: "127.0.0.1:0",
 		LogW:      &log,
@@ -106,7 +107,7 @@ func TestSetupTeardownIdempotent(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "out.trace.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	scope, done, err := SetupCtx(ctx, SetupOptions{
+	scope, done, err := Setup(ctx, SetupOptions{
 		TracePath: tracePath,
 		Heartbeat: time.Millisecond,
 		LogW:      io.Discard,
@@ -145,12 +146,12 @@ func TestSetupTeardownIdempotent(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestSetupCtxDisabled: with nothing enabled, SetupCtx spawns nothing and
+// TestSetupCtxDisabled: with nothing enabled, Setup spawns nothing and
 // teardown is a no-op even under cancellation.
 func TestSetupCtxDisabled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
-	scope, done, err := SetupCtx(ctx, SetupOptions{})
+	scope, done, err := Setup(ctx, SetupOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,4 +163,19 @@ func TestSetupCtxDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, before)
+}
+
+// TestBindFlags: the sink flags fill the matching SetupOptions fields and
+// leave the front end's own fields alone.
+func TestBindFlags(t *testing.T) {
+	fs := flag.NewFlagSet("obs", flag.ContinueOnError)
+	o := SetupOptions{Heartbeat: time.Second}
+	o.BindFlags(fs)
+	if err := fs.Parse([]string{"-trace", "t.json", "-spanlog", "s.jsonl", "-metrics", "-pprof", ":6060"}); err != nil {
+		t.Fatal(err)
+	}
+	want := SetupOptions{TracePath: "t.json", SpanLog: "s.jsonl", Metrics: true, PprofAddr: ":6060", Heartbeat: time.Second}
+	if o != want {
+		t.Fatalf("options = %+v, want %+v", o, want)
+	}
 }
