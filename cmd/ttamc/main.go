@@ -109,16 +109,7 @@ func run(args []string) (err error) {
 	if suite == nil && (*wcsup || *count) {
 		return fmt.Errorf("-wcsup and -count apply to the hub model only")
 	}
-	if suite != nil {
-		cfg := suite.Cfg
-		fmt.Printf("model: %s  (faulty-node=%d faulty-hub=%d degree=%d δ_init=%d big-bang=%v feedback=%v)\n",
-			m.Sys.Name, cfg.FaultyNode, cfg.FaultyHub, cfg.FaultDegree,
-			cfg.DeltaInit, !cfg.DisableBigBang, cfg.Feedback)
-	} else {
-		cfg := m.Bus.Cfg
-		fmt.Printf("model: %s  (faulty-node=%d degree=%d δ_init=%d)\n",
-			m.Sys.Name, cfg.FaultyNode, cfg.FaultDegree, cfg.DeltaInit)
-	}
+	fmt.Println(modelLine(m, job))
 
 	if err := lintGate(m, *lintMode, *nodeLimit); err != nil {
 		return err
@@ -226,6 +217,24 @@ func printCex(m *campaign.Model, t *mc.Trace) {
 	fmt.Print(m.Suite.Model.FormatTimeline(t))
 	fmt.Println("\nvariable-level trace:")
 	fmt.Println(t.Format(m.Sys))
+}
+
+// modelLine describes the checked model in one line. It lists the hub's
+// design switches (job.Switches) only when one is on.
+func modelLine(m *campaign.Model, job campaign.Job) string {
+	if m.Suite == nil {
+		cfg := m.Bus.Cfg
+		return fmt.Sprintf("model: %s  (faulty-node=%d degree=%d δ_init=%d)",
+			m.Sys.Name, cfg.FaultyNode, cfg.FaultDegree, cfg.DeltaInit)
+	}
+	cfg := m.Suite.Cfg
+	line := fmt.Sprintf("model: %s  (faulty-node=%d faulty-hub=%d degree=%d δ_init=%d big-bang=%v feedback=%v",
+		m.Sys.Name, cfg.FaultyNode, cfg.FaultyHub, cfg.FaultDegree,
+		cfg.DeltaInit, !cfg.DisableBigBang, cfg.Feedback)
+	if sw := job.Switches(); len(sw) > 0 {
+		line += " switches=" + strings.Join(sw, ",")
+	}
+	return line + ")"
 }
 
 // lintGate refuses to model check a system that the static analyzer flags

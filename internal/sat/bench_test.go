@@ -62,3 +62,60 @@ func BenchmarkIncrementalAssumptions(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIC3Pattern measures the IC3 usage pattern on one incremental
+// solver: every query adds a clause group guarded by a fresh activation
+// literal, solves under that literal plus many state assumptions, and then
+// retires the group by pinning the literal false; Simplify runs
+// periodically to drop the retired clauses.
+func BenchmarkIC3Pattern(b *testing.B) {
+	const (
+		nvars    = 300
+		queries  = 512
+		simplify = 64
+	)
+	rng := rand.New(rand.NewSource(5))
+	base := make([][]Lit, 850)
+	for i := range base {
+		base[i] = []Lit{randomLit(rng, nvars), randomLit(rng, nvars), randomLit(rng, nvars)}
+	}
+	type query struct {
+		group   [][]Lit
+		assumps []Lit
+	}
+	qs := make([]query, queries)
+	for i := range qs {
+		for range 8 {
+			qs[i].group = append(qs[i].group, []Lit{randomLit(rng, nvars), randomLit(rng, nvars), randomLit(rng, nvars)})
+		}
+		for range 16 {
+			qs[i].assumps = append(qs[i].assumps, randomLit(rng, nvars))
+		}
+	}
+	for b.Loop() {
+		s := New()
+		for range nvars {
+			s.NewVar()
+		}
+		for _, cl := range base {
+			s.AddClause(cl...)
+		}
+		sat := 0
+		for i, q := range qs {
+			act := Pos(s.NewVar())
+			for _, cl := range q.group {
+				s.AddClause(append([]Lit{act.Not()}, cl...)...)
+			}
+			if s.Solve(append([]Lit{act}, q.assumps...)...) {
+				sat++
+			}
+			s.AddClause(act.Not())
+			if i%simplify == simplify-1 {
+				s.Simplify()
+			}
+		}
+		if sat == 0 || sat == queries {
+			b.Fatalf("%d of %d queries sat: the pattern needs both answers", sat, queries)
+		}
+	}
+}

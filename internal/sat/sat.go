@@ -3,9 +3,20 @@
 // first-UIP conflict analysis with backjumping, Luby restarts, and
 // activity-based deletion of learnt clauses. It is the backend of the
 // bounded model checker (package mc/bmc).
+//
+// The data layout follows MiniSat (Eén and Sörensson, "An Extensible
+// SAT-solver", SAT 2003): clauses live inline in one pointer-free arena
+// and are named by their offset, variable state is a set of parallel
+// arrays with the assignment stored per literal, and the branching heap
+// carries each variable's activity beside it.
 package sat
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Lit is a literal: variable index (1-based) shifted left once, with the
 // LSB set for negative polarity.
@@ -41,40 +52,53 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits     []Lit
-	learnt   bool
-	activity float64
-}
+// A clause is stored in the arena at its offset (a cref) as a header of
+// clauseHeader words followed by its literals:
+//
+//	arena[c]             size<<1 | learnt
+//	arena[c+1], [c+2]    activity, a float64 split into its low and high words
+//	arena[c+3 …]         the size literals
+//
+// Watchers and reasons hold crefs; noReason marks a decision or a
+// level-0 unit.
+const (
+	clauseHeader = 3
+	noReason     = int32(-1)
+)
 
 type watcher struct {
-	clause  int // clause index
-	blocker Lit // quick-check literal
+	cref    int32 // clause offset in the arena
+	blocker Lit   // quick-check literal
 }
 
-type varState struct {
-	assign   lbool
-	level    int32
-	reason   int32 // clause index or -1
-	activity float64
-	phase    bool // saved phase
-	seen     bool // scratch for conflict analysis
+// heapEntry is one slot of the branching heap: the variable with a copy of
+// its activity, so a comparison reads no other array.
+type heapEntry struct {
+	act float64
+	v   int32
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	vars     []varState // index 1..n
-	clauses  []clause
+	arena    []Lit       // clause headers and literals, in clause order
 	watches  [][]watcher // indexed by literal
+	vals     []lbool     // indexed by literal: its current value
 	trail    []Lit
 	trailLim []int
 	qhead    int
 
+	// Per-variable state, index 1..n.
+	level    []int32
+	reason   []int32 // cref or noReason
+	activity []float64
+	phase    []bool  // saved phase
+	seen     []uint8 // scratch: analyze marks 1, AddClause 1<<sign per polarity
+
 	varInc   float64
 	claInc   float64
-	order    []int // variables sorted lazily by activity (binary heap)
-	heapPos  []int
-	unsat    bool // conflict at level 0 during AddClause
+	order    []heapEntry // binary max-heap on activity
+	heapPos  []int32     // slot of each variable in order, or -1
+	unsat    bool        // conflict at level 0 during AddClause
 	restarts int
 	conflTot int
 
@@ -93,8 +117,19 @@ type Solver struct {
 
 	finalConflict []Lit // assumption core of the last UNSAT Solve
 
+	// Scratch buffers reused across calls.
+	litBuf   []Lit    // AddClause's normalized clause, analyze's learnt clause
+	coreBuf  []Lit    // analyzeFinal's core
+	clearBuf []int32  // variables whose seen mark must be reset
+	scoreBuf []scored // reduceDB's candidates
+
 	stop    func() bool // optional cancellation probe (see SetStop)
 	stopped bool        // last Solve call was interrupted by stop
+}
+
+type scored struct {
+	cref int32
+	act  float64
 }
 
 // SetStop installs a cancellation probe polled periodically during Solve
@@ -111,27 +146,38 @@ func (s *Solver) Stopped() bool { return s.stopped }
 // New returns an empty solver.
 func New() *Solver {
 	return &Solver{
-		vars:      make([]varState, 1), // slot 0 unused
+		// Slot 0 of every per-variable array is unused.
 		watches:   make([][]watcher, 2),
+		vals:      make([]lbool, 2),
+		level:     make([]int32, 1),
+		reason:    []int32{noReason},
+		activity:  make([]float64, 1),
+		phase:     make([]bool, 1),
+		seen:      make([]uint8, 1),
+		heapPos:   []int32{-1},
 		varInc:    1,
 		claInc:    1,
-		heapPos:   make([]int, 1),
 		maxLearnt: 4000,
 	}
 }
 
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
-	v := len(s.vars)
-	s.vars = append(s.vars, varState{reason: -1})
+	v := len(s.level)
 	s.watches = append(s.watches, nil, nil)
+	s.vals = append(s.vals, lUndef, lUndef)
+	s.level = append(s.level, 0)
+	s.reason = append(s.reason, noReason)
+	s.activity = append(s.activity, 0)
+	s.phase = append(s.phase, false)
+	s.seen = append(s.seen, 0)
 	s.heapPos = append(s.heapPos, -1)
 	s.heapInsert(v)
 	return v
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.vars) - 1 }
+func (s *Solver) NumVars() int { return len(s.level) - 1 }
 
 // Conflicts returns the total number of conflicts encountered.
 func (s *Solver) Conflicts() int { return s.conflTot }
@@ -155,15 +201,67 @@ func (s *Solver) LearntTotal() int { return s.learntTot }
 // the clause database.
 func (s *Solver) LearntCurrent() int { return s.learntCount }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.vars[l.Var()].assign
-	if a == lUndef {
-		return lUndef
+// ---------------------------------------------------------------------------
+// Clause arena.
+
+func (s *Solver) clauseSize(c int32) int32 { return int32(s.arena[c] >> 1) }
+
+func (s *Solver) isLearnt(c int32) bool { return s.arena[c]&1 == 1 }
+
+// lits returns the literals of clause c, aliasing the arena.
+func (s *Solver) lits(c int32) []Lit {
+	return s.arena[c+clauseHeader : c+clauseHeader+s.clauseSize(c)]
+}
+
+func (s *Solver) clauseActivity(c int32) float64 {
+	return math.Float64frombits(uint64(uint32(s.arena[c+1])) | uint64(uint32(s.arena[c+2]))<<32)
+}
+
+func (s *Solver) setClauseActivity(c int32, a float64) {
+	b := math.Float64bits(a)
+	s.arena[c+1], s.arena[c+2] = Lit(uint32(b)), Lit(uint32(b>>32))
+}
+
+// allocClause appends a clause to the arena and returns its offset.
+func (s *Solver) allocClause(lits []Lit, learnt bool, act float64) int32 {
+	c := len(s.arena)
+	if c+clauseHeader+len(lits) > math.MaxInt32 {
+		panic("sat: clause arena exceeds 2^31 words")
 	}
-	if l.Sign() == (a == lFalse) {
-		return lTrue
+	hdr := Lit(len(lits) << 1)
+	if learnt {
+		hdr |= 1
 	}
-	return lFalse
+	s.arena = append(s.arena, hdr, 0, 0)
+	s.arena = append(s.arena, lits...)
+	s.setClauseActivity(int32(c), act)
+	return int32(c)
+}
+
+// watch adds clause c to the watch lists of its first two literals.
+func (s *Solver) watch(c int32) {
+	l0, l1 := s.arena[c+clauseHeader], s.arena[c+clauseHeader+1]
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{cref: c, blocker: l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{cref: c, blocker: l0})
+}
+
+// rewatch rebuilds every watch list from the arena in clause order, the
+// order in which the clauses were first attached.
+func (s *Solver) rewatch() {
+	for li := range s.watches {
+		s.watches[li] = s.watches[li][:0]
+	}
+	for c := int32(0); c < int32(len(s.arena)); c += clauseHeader + s.clauseSize(c) {
+		s.watch(c)
+	}
+}
+
+// locked reports whether clause c is the reason of a current assignment.
+// A clause implies its first literal and keeps it first while that
+// literal stays assigned.
+func (s *Solver) locked(c int32) bool {
+	l0 := s.arena[c+clauseHeader]
+	return s.reason[l0.Var()] == c && s.vals[l0] == lTrue
 }
 
 // AddClause adds a problem clause. It returns false if the formula became
@@ -176,22 +274,29 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if len(s.trailLim) != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
-	// Normalize: drop duplicate/false literals, detect tautologies.
-	out := lits[:0:0]
-	seen := make(map[Lit]bool, len(lits))
+	// Normalize: drop duplicate/false literals, detect tautologies. The
+	// literals keep their order, so the first two are the ones watched.
+	out := s.litBuf[:0]
+	defer func() {
+		for _, l := range out {
+			s.seen[l.Var()] = 0
+		}
+		s.litBuf = out
+	}()
 	for _, l := range lits {
-		if l.Var() <= 0 || l.Var() >= len(s.vars) {
+		v := l.Var()
+		if v <= 0 || v >= len(s.level) {
 			panic(fmt.Sprintf("sat: literal %v references unallocated variable", l))
 		}
 		switch {
-		case seen[l.Not()]:
+		case s.seen[v]&(1<<(l.Not()&1)) != 0:
 			return true // tautology
-		case seen[l], s.value(l) == lFalse:
+		case s.seen[v]&(1<<(l&1)) != 0, s.vals[l] == lFalse:
 			continue
-		case s.value(l) == lTrue:
+		case s.vals[l] == lTrue:
 			return true // already satisfied
 		}
-		seen[l] = true
+		s.seen[v] |= 1 << (l & 1)
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -199,67 +304,58 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.unsat = true
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], -1)
-		if s.propagate() != -1 {
+		s.uncheckedEnqueue(out[0], noReason)
+		if s.propagate() != noReason {
 			s.unsat = true
 			return false
 		}
 		return true
 	}
-	s.attachClause(clause{lits: out})
+	s.watch(s.allocClause(out, false, 0))
 	return true
 }
 
-func (s *Solver) attachClause(c clause) int {
-	idx := len(s.clauses)
-	s.clauses = append(s.clauses, c)
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{clause: idx, blocker: c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{clause: idx, blocker: c.lits[0]})
-	return idx
-}
-
 func (s *Solver) uncheckedEnqueue(l Lit, reason int32) {
-	vs := &s.vars[l.Var()]
-	if l.Sign() {
-		vs.assign = lFalse
-	} else {
-		vs.assign = lTrue
-	}
-	vs.level = int32(len(s.trailLim))
-	vs.reason = reason
+	s.vals[l], s.vals[l^1] = lTrue, lFalse
+	v := l.Var()
+	s.level[v] = int32(len(s.trailLim))
+	s.reason[v] = reason
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns the index of a
-// conflicting clause, or -1.
-func (s *Solver) propagate() int {
+// propagate performs unit propagation; it returns the offset of a
+// conflicting clause, or noReason.
+func (s *Solver) propagate() int32 {
+	vals, arena := s.vals, s.arena
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propagations++
+		falseLit := p.Not()
 		ws := s.watches[p]
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			w := ws[wi]
-			if s.value(w.blocker) == lTrue {
+			if vals[w.blocker] == lTrue {
 				kept = append(kept, w)
 				continue
 			}
-			c := &s.clauses[w.clause]
+			lits := arena[w.cref+clauseHeader : w.cref+clauseHeader+int32(arena[w.cref]>>1)]
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], falseLit
 			}
-			if s.value(c.lits[0]) == lTrue {
-				kept = append(kept, watcher{clause: w.clause, blocker: c.lits[0]})
+			first := lits[0]
+			if vals[first] == lTrue {
+				kept = append(kept, watcher{cref: w.cref, blocker: first})
 				continue
 			}
 			// Find a new watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{clause: w.clause, blocker: c.lits[0]})
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{cref: w.cref, blocker: first})
 					found = true
 					break
 				}
@@ -269,60 +365,59 @@ func (s *Solver) propagate() int {
 			}
 			// Unit or conflict.
 			kept = append(kept, w)
-			if s.value(c.lits[0]) == lFalse {
+			if vals[first] == lFalse {
 				// Conflict: keep remaining watchers and report.
 				kept = append(kept, ws[wi+1:]...)
 				s.watches[p] = kept
 				s.qhead = len(s.trail)
-				return w.clause
+				return w.cref
 			}
-			s.uncheckedEnqueue(c.lits[0], int32(w.clause))
+			s.uncheckedEnqueue(first, w.cref)
 		}
 		s.watches[p] = kept
 	}
-	return -1
+	return noReason
 }
 
 // analyze performs first-UIP conflict analysis; it returns the learnt
-// clause (asserting literal first) and the backjump level.
-func (s *Solver) analyze(confl int) ([]Lit, int) {
-	learnt := []Lit{0} // placeholder for the asserting literal
+// clause (asserting literal first) and the backjump level. The clause
+// aliases a scratch buffer that the next AddClause or analyze reuses.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learnt := append(s.litBuf[:0], 0) // placeholder for the asserting literal
 	counter := 0
 	p := Lit(-1)
 	idx := len(s.trail) - 1
-	var toClear []int
+	toClear := s.clearBuf[:0]
 
 	for {
-		c := &s.clauses[confl]
-		if c.learnt {
+		if s.isLearnt(confl) {
 			s.bumpClause(confl)
 		}
-		start := 0
+		lits := s.lits(confl)
 		if p != Lit(-1) {
-			start = 1
+			lits = lits[1:]
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range lits {
 			v := q.Var()
-			vs := &s.vars[v]
-			if vs.seen || vs.level == 0 {
+			if s.seen[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			vs.seen = true
-			toClear = append(toClear, v)
+			s.seen[v] = 1
+			toClear = append(toClear, int32(v))
 			s.bumpVar(v)
-			if int(vs.level) == len(s.trailLim) {
+			if int(s.level[v]) == len(s.trailLim) {
 				counter++
 			} else {
 				learnt = append(learnt, q)
 			}
 		}
 		// Find the next marked literal on the trail.
-		for !s.vars[s.trail[idx].Var()].seen {
+		for s.seen[s.trail[idx].Var()] == 0 {
 			idx--
 		}
 		p = s.trail[idx]
-		confl = int(s.vars[p.Var()].reason)
-		s.vars[p.Var()].seen = false
+		confl = s.reason[p.Var()]
+		s.seen[p.Var()] = 0
 		counter--
 		idx--
 		if counter == 0 {
@@ -336,16 +431,17 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 	if len(learnt) > 1 {
 		maxI := 1
 		for i := 2; i < len(learnt); i++ {
-			if s.vars[learnt[i].Var()].level > s.vars[learnt[maxI].Var()].level {
+			if s.level[learnt[i].Var()] > s.level[learnt[maxI].Var()] {
 				maxI = i
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		back = int(s.vars[learnt[1].Var()].level)
+		back = int(s.level[learnt[1].Var()])
 	}
 	for _, v := range toClear {
-		s.vars[v].seen = false
+		s.seen[v] = 0
 	}
+	s.litBuf, s.clearBuf = learnt, toClear
 	return learnt, back
 }
 
@@ -355,12 +451,12 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
 		l := s.trail[i]
-		vs := &s.vars[l.Var()]
-		vs.phase = vs.assign == lTrue
-		vs.assign = lUndef
-		vs.reason = -1
-		if s.heapPos[l.Var()] == -1 {
-			s.heapInsert(l.Var())
+		v := l.Var()
+		s.phase[v] = !l.Sign()
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
+		s.reason[v] = noReason
+		if s.heapPos[v] == -1 {
+			s.heapInsert(v)
 		}
 	}
 	s.trail = s.trail[:s.trailLim[level]]
@@ -369,24 +465,29 @@ func (s *Solver) cancelUntil(level int) {
 }
 
 func (s *Solver) bumpVar(v int) {
-	s.vars[v].activity += s.varInc
-	if s.vars[v].activity > 1e100 {
-		for i := 1; i < len(s.vars); i++ {
-			s.vars[i].activity *= 1e-100
+	s.activity[v] += s.varInc
+	if s.activity[v] > 1e100 {
+		for i := 1; i < len(s.activity); i++ {
+			s.activity[i] *= 1e-100
+		}
+		for i := range s.order {
+			s.order[i].act *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
-	if s.heapPos[v] != -1 {
-		s.heapUp(s.heapPos[v])
+	if i := s.heapPos[v]; i != -1 {
+		s.order[i].act = s.activity[v]
+		s.heapUp(int(i))
 	}
 }
 
-func (s *Solver) bumpClause(ci int) {
-	s.clauses[ci].activity += s.claInc
-	if s.clauses[ci].activity > 1e20 {
-		for i := range s.clauses {
-			if s.clauses[i].learnt {
-				s.clauses[i].activity *= 1e-20
+func (s *Solver) bumpClause(c int32) {
+	act := s.clauseActivity(c) + s.claInc
+	s.setClauseActivity(c, act)
+	if act > 1e20 {
+		for d := int32(0); d < int32(len(s.arena)); d += clauseHeader + s.clauseSize(d) {
+			if s.isLearnt(d) {
+				s.setClauseActivity(d, s.clauseActivity(d)*1e-20)
 			}
 		}
 		s.claInc *= 1e-20
@@ -416,9 +517,9 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		switch s.search(budget, assumptions) {
 		case lTrue:
 			// Snapshot the model, then restore level 0 for future calls.
-			s.model = make([]bool, len(s.vars))
-			for v := 1; v < len(s.vars); v++ {
-				s.model[v] = s.vars[v].assign == lTrue
+			s.model = slices.Grow(s.model[:0], len(s.level))[:len(s.level)]
+			for v := 1; v < len(s.level); v++ {
+				s.model[v] = s.vals[Pos(v)] == lTrue
 			}
 			s.cancelUntil(0)
 			return true
@@ -443,7 +544,7 @@ func (s *Solver) search(budget int, assumptions []Lit) lbool {
 			return lUndef
 		}
 		confl := s.propagate()
-		if confl != -1 {
+		if confl != noReason {
 			conflicts++
 			s.conflTot++
 			if len(s.trailLim) == 0 {
@@ -454,11 +555,12 @@ func (s *Solver) search(budget int, assumptions []Lit) lbool {
 			s.learntTot++
 			s.cancelUntil(back)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], -1)
+				s.uncheckedEnqueue(learnt[0], noReason)
 			} else {
-				ci := s.attachClause(clause{lits: learnt, learnt: true, activity: s.claInc})
+				c := s.allocClause(learnt, true, s.claInc)
+				s.watch(c)
 				s.learntCount++
-				s.uncheckedEnqueue(learnt[0], int32(ci))
+				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999
@@ -475,7 +577,7 @@ func (s *Solver) search(budget int, assumptions []Lit) lbool {
 		var next Lit
 		for len(s.trailLim) < len(assumptions) {
 			a := assumptions[len(s.trailLim)]
-			switch s.value(a) {
+			switch s.vals[a] {
 			case lTrue:
 				s.trailLim = append(s.trailLim, len(s.trail))
 				continue
@@ -494,7 +596,7 @@ func (s *Solver) search(budget int, assumptions []Lit) lbool {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(next, -1)
+		s.uncheckedEnqueue(next, noReason)
 	}
 }
 
@@ -508,48 +610,48 @@ func (s *Solver) FinalConflict() []Lit { return s.finalConflict }
 
 // analyzeFinal computes the subset of the current assumptions responsible
 // for falsifying assumption a. Called from search at the moment the
-// assumption-application loop finds value(a) == lFalse: every decision
+// assumption-application loop finds a false: every decision
 // level on the trail is then an assumption level, so walking ¬a's
 // implication graph backwards and collecting the decisions it reaches
 // yields exactly the conflicting assumptions.
 func (s *Solver) analyzeFinal(a Lit) []Lit {
-	core := []Lit{a}
-	if len(s.trailLim) == 0 || s.vars[a.Var()].level == 0 {
+	core := append(s.coreBuf[:0], a)
+	if len(s.trailLim) == 0 || s.level[a.Var()] == 0 {
 		// a is refuted by level-0 facts alone; no other assumption is
 		// involved (a itself stays in the core: the formula plus a is
 		// unsatisfiable, the formula alone need not be).
+		s.coreBuf = core
 		return core
 	}
-	var toClear []int
+	toClear := s.clearBuf[:0]
 	mark := func(v int) {
-		vs := &s.vars[v]
-		if !vs.seen && vs.level > 0 {
-			vs.seen = true
-			toClear = append(toClear, v)
+		if s.seen[v] == 0 && s.level[v] > 0 {
+			s.seen[v] = 1
+			toClear = append(toClear, int32(v))
 		}
 	}
 	mark(a.Var())
 	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
 		p := s.trail[i]
-		vs := &s.vars[p.Var()]
-		if !vs.seen {
+		if s.seen[p.Var()] == 0 {
 			continue
 		}
-		if vs.reason == -1 {
+		if r := s.reason[p.Var()]; r == noReason {
 			// A decision below the assumption-application point is itself
 			// an assumption; record it as applied on the trail. (When the
 			// assumptions contain both a and ¬a, p is a.Not() here and
 			// the two-literal core is the honest answer.)
 			core = append(core, p)
 		} else {
-			for _, q := range s.clauses[vs.reason].lits[1:] {
+			for _, q := range s.lits(r)[1:] {
 				mark(q.Var())
 			}
 		}
 	}
 	for _, v := range toClear {
-		s.vars[v].seen = false
+		s.seen[v] = 0
 	}
+	s.coreBuf, s.clearBuf = core, toClear
 	return core
 }
 
@@ -559,8 +661,8 @@ func (s *Solver) pickBranch() Lit {
 		if v == 0 {
 			return 0
 		}
-		if s.vars[v].assign == lUndef {
-			if s.vars[v].phase {
+		if s.vals[Pos(v)] == lUndef {
+			if s.phase[v] {
 				return Pos(v)
 			}
 			return Neg(v)
@@ -569,66 +671,45 @@ func (s *Solver) pickBranch() Lit {
 }
 
 // reduceDB removes the lower-activity half of learnt clauses that are not
-// reasons for current assignments. Watches are rebuilt.
+// reasons for current assignments. The arena is compacted in clause order
+// and the watches are rebuilt.
 func (s *Solver) reduceDB() {
-	type scored struct {
-		idx int
-		act float64
-	}
-	var learnts []scored
-	locked := make(map[int]bool)
-	for _, l := range s.trail {
-		if r := s.vars[l.Var()].reason; r >= 0 {
-			locked[int(r)] = true
+	cands := s.scoreBuf[:0]
+	for c := int32(0); c < int32(len(s.arena)); c += clauseHeader + s.clauseSize(c) {
+		if s.isLearnt(c) && s.clauseSize(c) > 2 && !s.locked(c) {
+			cands = append(cands, scored{c, s.clauseActivity(c)})
 		}
 	}
-	for i := range s.clauses {
-		if s.clauses[i].learnt && !locked[i] && len(s.clauses[i].lits) > 2 {
-			learnts = append(learnts, scored{i, s.clauses[i].activity})
-		}
-	}
-	if len(learnts) < 2 {
+	s.scoreBuf = cands
+	if len(cands) < 2 {
 		s.maxLearnt *= 1.5
 		return
 	}
-	// Partial selection: remove the half with lowest activity.
-	// Simple nth-element via sort of the small scored slice.
-	for i := 1; i < len(learnts); i++ {
-		for j := i; j > 0 && learnts[j].act < learnts[j-1].act; j-- {
-			learnts[j], learnts[j-1] = learnts[j-1], learnts[j]
-		}
-	}
-	remove := make(map[int]bool, len(learnts)/2)
-	for _, sc := range learnts[:len(learnts)/2] {
-		remove[sc.idx] = true
-	}
+	// Remove the half with lowest activity; ties go to the older clause.
+	slices.SortStableFunc(cands, func(a, b scored) int { return cmp.Compare(a.act, b.act) })
+	remove := cands[:len(cands)/2]
+	slices.SortFunc(remove, func(a, b scored) int { return cmp.Compare(a.cref, b.cref) })
 
-	// Compact the clause DB, remapping indices.
-	remap := make([]int32, len(s.clauses))
-	out := s.clauses[:0]
-	for i := range s.clauses {
-		if remove[i] {
-			remap[i] = -1
-			continue
+	// Compact in place: every kept clause moves down to offset to. A
+	// reason is only ever a kept (locked) clause, found through its first
+	// literal; a moved reason's new offset is below every unvisited old one.
+	to, next := int32(0), 0
+	for c := int32(0); c < int32(len(s.arena)); {
+		n := clauseHeader + s.clauseSize(c)
+		if next < len(remove) && remove[next].cref == c {
+			next++
+		} else {
+			if v := s.arena[c+clauseHeader].Var(); s.reason[v] == c {
+				s.reason[v] = to
+			}
+			copy(s.arena[to:], s.arena[c:c+n])
+			to += n
 		}
-		remap[i] = int32(len(out))
-		out = append(out, s.clauses[i])
+		c += n
 	}
-	s.clauses = out
+	s.arena = s.arena[:to]
 	s.learntCount -= len(remove)
-	for v := 1; v < len(s.vars); v++ {
-		if r := s.vars[v].reason; r >= 0 {
-			s.vars[v].reason = remap[r]
-		}
-	}
-	for li := range s.watches {
-		s.watches[li] = s.watches[li][:0]
-	}
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{clause: i, blocker: c.lits[1]})
-		s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{clause: i, blocker: c.lits[0]})
-	}
+	s.rewatch()
 	s.maxLearnt *= 1.1
 }
 
@@ -645,55 +726,46 @@ func (s *Solver) Simplify() {
 	if len(s.trailLim) != 0 {
 		panic("sat: Simplify above decision level 0")
 	}
-	if s.propagate() != -1 {
+	if s.propagate() != noReason {
 		s.unsat = true
 		return
 	}
 	// Level-0 assignments are permanent, so their reason clauses are never
-	// walked again; drop the references before the clauses disappear.
+	// walked again; drop the references before the clauses disappear. No
+	// reason survives, so compaction has none to move.
 	for _, l := range s.trail {
-		s.vars[l.Var()].reason = -1
+		s.reason[l.Var()] = noReason
 	}
-	remap := make([]int32, len(s.clauses))
-	out := s.clauses[:0]
-	removedLearnt := 0
+	to := int32(0)
 outer:
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		kept := c.lits[:0]
-		for _, l := range c.lits {
-			switch s.value(l) {
-			case lTrue:
-				remap[i] = -1
-				if c.learnt {
-					removedLearnt++
+	for c := int32(0); c < int32(len(s.arena)); {
+		hdr, act := s.arena[c], s.clauseActivity(c)
+		lits := s.lits(c)
+		c += clauseHeader + int32(len(lits))
+		for _, l := range lits {
+			if s.vals[l] == lTrue {
+				if hdr&1 == 1 {
+					s.learntCount--
 				}
 				continue outer
-			case lUndef:
-				kept = append(kept, l)
 			}
 		}
 		// Not satisfied, so at least two literals survive: a unit would
-		// have propagated above and an empty clause conflicted.
-		c.lits = kept
-		remap[i] = int32(len(out))
-		out = append(out, *c)
-	}
-	s.clauses = out
-	s.learntCount -= removedLearnt
-	for v := 1; v < len(s.vars); v++ {
-		if r := s.vars[v].reason; r >= 0 {
-			s.vars[v].reason = remap[r]
+		// have propagated above and an empty clause conflicted. The kept
+		// literals move down, never past one still to be read.
+		n := int32(0)
+		for _, l := range lits {
+			if s.vals[l] == lUndef {
+				s.arena[to+clauseHeader+n] = l
+				n++
+			}
 		}
+		s.arena[to] = Lit(n<<1) | hdr&1
+		s.setClauseActivity(to, act)
+		to += clauseHeader + n
 	}
-	for li := range s.watches {
-		s.watches[li] = s.watches[li][:0]
-	}
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{clause: i, blocker: c.lits[1]})
-		s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{clause: i, blocker: c.lits[0]})
-	}
+	s.arena = s.arena[:to]
+	s.rewatch()
 }
 
 // Value returns the model value of variable v after a successful Solve.
@@ -717,13 +789,16 @@ func luby(i int) int {
 }
 
 // ---------------------------------------------------------------------------
-// Activity-ordered binary heap over variables.
+// Activity-ordered binary heap over variables. An entry's act always equals
+// activity[v].
 
-func (s *Solver) heapLess(a, b int) bool { return s.vars[a].activity > s.vars[b].activity }
+// before is the heap order: strictly higher activity first, so ties keep
+// the order the heap already has.
+func (e heapEntry) before(f heapEntry) bool { return e.act > f.act }
 
 func (s *Solver) heapInsert(v int) {
-	s.order = append(s.order, v)
-	s.heapPos[v] = len(s.order) - 1
+	s.order = append(s.order, heapEntry{act: s.activity[v], v: int32(v)})
+	s.heapPos[v] = int32(len(s.order) - 1)
 	s.heapUp(len(s.order) - 1)
 }
 
@@ -731,50 +806,53 @@ func (s *Solver) heapPop() int {
 	if len(s.order) == 0 {
 		return 0
 	}
-	top := s.order[0]
+	top := s.order[0].v
 	last := s.order[len(s.order)-1]
 	s.order = s.order[:len(s.order)-1]
 	s.heapPos[top] = -1
 	if len(s.order) > 0 {
 		s.order[0] = last
-		s.heapPos[last] = 0
+		s.heapPos[last.v] = 0
 		s.heapDown(0)
 	}
-	return top
+	return int(top)
 }
 
 func (s *Solver) heapUp(i int) {
-	v := s.order[i]
+	order, pos := s.order, s.heapPos
+	e := order[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !s.heapLess(v, s.order[p]) {
+		if !e.before(order[p]) {
 			break
 		}
-		s.order[i] = s.order[p]
-		s.heapPos[s.order[i]] = i
+		order[i] = order[p]
+		pos[order[i].v] = int32(i)
 		i = p
 	}
-	s.order[i] = v
-	s.heapPos[v] = i
+	order[i] = e
+	pos[e.v] = int32(i)
 }
 
 func (s *Solver) heapDown(i int) {
-	v := s.order[i]
+	order, pos := s.order, s.heapPos
+	e := order[i]
+	n := len(order)
 	for {
 		c := 2*i + 1
-		if c >= len(s.order) {
+		if c >= n {
 			break
 		}
-		if c+1 < len(s.order) && s.heapLess(s.order[c+1], s.order[c]) {
+		if c+1 < n && order[c+1].before(order[c]) {
 			c++
 		}
-		if !s.heapLess(s.order[c], v) {
+		if !order[c].before(e) {
 			break
 		}
-		s.order[i] = s.order[c]
-		s.heapPos[s.order[i]] = i
+		order[i] = order[c]
+		pos[order[i].v] = int32(i)
 		i = c
 	}
-	s.order[i] = v
-	s.heapPos[v] = i
+	order[i] = e
+	pos[e.v] = int32(i)
 }
